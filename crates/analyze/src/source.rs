@@ -22,6 +22,7 @@
 //! | `retry-backoff` | all library code           | reconnect/retry loop sleeping a fixed literal delay, no backoff/jitter |
 //! | `hot-alloc`   | `// analyze:hot` … `// analyze:hot-end` regions | per-call heap allocation (`Vec::new`, `vec!`, `.to_vec()`, `.clone()`) on an allocation-free path |
 //! | `arena-escape` | `// analyze:hot` … `// analyze:hot-end` regions | tensor construction that bypasses the recycling arena (`Tensor::from_vec`, `Storage::zeroed`) on a hot path |
+//! | `cow-index`   | all library code             | `.data_mut()[…]` indexing: a copy-on-write check (`Arc::make_mut`) per element |
 //!
 //! Diagnostics print as `file:line rule message` — one per line, greppable,
 //! and the CLI exits non-zero when any are present.
@@ -339,6 +340,23 @@ pub fn lint_file(path: &str, content: &str) -> Vec<SourceDiagnostic> {
                     );
                 }
             }
+        }
+
+        // --- cow-index ----------------------------------------------------
+        // `Tensor::data_mut` goes through `Arc::make_mut` (an atomic
+        // compare-and-swap, and a full copy if the storage is shared), so
+        // indexing its result directly pays that per element when it sits
+        // in a loop. Bind the slice once (`let d = t.data_mut();`) and index
+        // the binding.
+        if code.contains(".data_mut()[") && !is_allowed(&lines, idx, "cow-index") {
+            emit(
+                idx,
+                "cow-index",
+                "`.data_mut()[…]` runs a copy-on-write check per element; bind \
+                 `let d = t.data_mut();` once outside the loop and index `d`, \
+                 or add `// lint: allow(cow-index)` with a rationale"
+                    .to_string(),
+            );
         }
 
         // --- lock-unwrap / no-unwrap --------------------------------------
@@ -894,6 +912,25 @@ mod tests {
             "{:?}",
             lint_file("crates/x/src/lib.rs", src)
         );
+    }
+
+    #[test]
+    fn cow_index_is_flagged_and_a_hoisted_slice_passes() {
+        let bad = "fn f(t: &mut Tensor, n: usize) {\n    for j in 0..n {\n        t.data_mut()[j] = 1.0;\n    }\n}\n";
+        let d = lint_file("crates/x/src/lib.rs", bad);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].rule, d[0].line), ("cow-index", 3));
+        let good = "fn f(t: &mut Tensor, n: usize) {\n    let d = t.data_mut();\n    for j in 0..n {\n        d[j] = 1.0;\n    }\n}\n";
+        assert!(rules_hit("crates/x/src/lib.rs", good).is_empty());
+    }
+
+    #[test]
+    fn cow_index_in_tests_or_with_allow_passes() {
+        let test =
+            "#[cfg(test)]\nmod tests {\n    fn t(x: &mut Tensor) { x.data_mut()[0] = 9.0; }\n}\n";
+        assert!(rules_hit("crates/x/src/lib.rs", test).is_empty());
+        let allowed = "fn f(t: &mut Tensor) {\n    // lint: allow(cow-index) one element, once\n    t.data_mut()[0] = 1.0;\n}\n";
+        assert!(rules_hit("crates/x/src/lib.rs", allowed).is_empty());
     }
 
     #[test]

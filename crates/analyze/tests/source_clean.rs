@@ -45,6 +45,7 @@ fn fixture_trips_every_rule() {
         "retry-backoff",
         "hot-alloc",
         "arena-escape",
+        "cow-index",
     ]
     .into_iter()
     .collect();

@@ -74,8 +74,9 @@ pub fn straight_through_onehot(soft: &Var) -> Var {
     );
     let (m, n) = (soft_val.shape()[0], soft_val.shape()[1]);
     let mut hard = Tensor::zeros(&[m, n]);
+    let hd = hard.data_mut();
     for (i, j) in soft_val.argmax_rows().into_iter().enumerate() {
-        hard.data_mut()[i * n + j] = 1.0;
+        hd[i * n + j] = 1.0;
     }
     Var::from_op(
         "straight_through_onehot",

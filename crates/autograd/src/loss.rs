@@ -65,10 +65,11 @@ pub fn cross_entropy(logits: &Var, targets: &[usize], label_smoothing: f32) -> V
             // dL/dz = (softmax − q) / B, scaled by upstream scalar gradient.
             let scale = g.item() / b as f32;
             let mut dz = soft.clone();
+            let dzd = dz.data_mut();
             for (i, &t) in targets.iter().enumerate() {
                 for j in 0..c {
                     let q = if j == t { on } else { off };
-                    dz.data_mut()[i * c + j] = (dz.data()[i * c + j] - q) * scale;
+                    dzd[i * c + j] = (dzd[i * c + j] - q) * scale;
                 }
             }
             parents[0].accumulate_grad(&dz);

@@ -140,19 +140,22 @@ impl BatchNorm1d {
         let x_val = input.value();
         let (b, n) = (x_val.shape()[0], x_val.shape()[1]);
         assert!(b > 0, "batch norm on empty batch");
+        // Every slice is bound once: `Tensor::data_mut` is copy-on-write
+        // (`Arc::make_mut`), far too costly to pay per element.
+        let xd = x_val.data();
 
         // Batch statistics per feature.
         let mut mean = vec![0.0f32; n];
         for i in 0..b {
             for j in 0..n {
-                mean[j] += x_val.data()[i * n + j];
+                mean[j] += xd[i * n + j];
             }
         }
         mean.iter_mut().for_each(|m| *m /= b as f32);
         let mut var = vec![0.0f32; n];
         for i in 0..b {
             for j in 0..n {
-                let d = x_val.data()[i * n + j] - mean[j];
+                let d = xd[i * n + j] - mean[j];
                 var[j] += d * d;
             }
         }
@@ -161,28 +164,31 @@ impl BatchNorm1d {
         {
             let mut rm = self.running_mean.borrow_mut();
             let mut rv = self.running_var.borrow_mut();
+            let (rm, rv) = (rm.data_mut(), rv.data_mut());
             for j in 0..n {
-                rm.data_mut()[j] = (1.0 - self.momentum) * rm.data()[j] + self.momentum * mean[j];
-                rv.data_mut()[j] = (1.0 - self.momentum) * rv.data()[j] + self.momentum * var[j];
+                rm[j] = (1.0 - self.momentum) * rm[j] + self.momentum * mean[j];
+                rv[j] = (1.0 - self.momentum) * rv[j] + self.momentum * var[j];
             }
         }
 
         let eps = self.eps;
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
         let mut x_hat = Tensor::zeros(&[b, n]);
+        let xh = x_hat.data_mut();
         for i in 0..b {
             for j in 0..n {
-                x_hat.data_mut()[i * n + j] = (x_val.data()[i * n + j] - mean[j]) * inv_std[j];
+                xh[i * n + j] = (xd[i * n + j] - mean[j]) * inv_std[j];
             }
         }
 
         let gamma_val = self.gamma.value();
         let beta_val = self.beta.value();
+        let (gamma, beta) = (gamma_val.data(), beta_val.data());
         let mut out = Tensor::zeros(&[b, n]);
+        let od = out.data_mut();
         for i in 0..b {
             for j in 0..n {
-                out.data_mut()[i * n + j] =
-                    gamma_val.data()[j] * x_hat.data()[i * n + j] + beta_val.data()[j];
+                od[i * n + j] = gamma[j] * xh[i * n + j] + beta[j];
             }
         }
 
@@ -194,28 +200,31 @@ impl BatchNorm1d {
             vec![input.clone(), self.gamma.clone(), self.beta.clone()],
             Box::new(move |g, parents| {
                 let bsz = b as f32;
+                let (gd, xh, gamma) = (g.data(), x_hat_saved.data(), gamma_val.data());
                 let mut dgamma = Tensor::zeros(&[n]);
                 let mut dbeta = Tensor::zeros(&[n]);
+                let (dg, db) = (dgamma.data_mut(), dbeta.data_mut());
                 let mut sum_g = vec![0.0f32; n];
                 let mut sum_gx = vec![0.0f32; n];
                 for i in 0..b {
                     for j in 0..n {
-                        let gv = g.data()[i * n + j];
-                        let xh = x_hat_saved.data()[i * n + j];
-                        dgamma.data_mut()[j] += gv * xh;
-                        dbeta.data_mut()[j] += gv;
+                        let gv = gd[i * n + j];
+                        let xv = xh[i * n + j];
+                        dg[j] += gv * xv;
+                        db[j] += gv;
                         sum_g[j] += gv;
-                        sum_gx[j] += gv * xh;
+                        sum_gx[j] += gv * xv;
                     }
                 }
                 let mut dx = Tensor::zeros(&[b, n]);
+                let dxd = dx.data_mut();
                 for i in 0..b {
                     for j in 0..n {
-                        let gv = g.data()[i * n + j];
-                        let xh = x_hat_saved.data()[i * n + j];
-                        dx.data_mut()[i * n + j] = gamma_val.data()[j]
+                        let gv = gd[i * n + j];
+                        let xv = xh[i * n + j];
+                        dxd[i * n + j] = gamma[j]
                             * inv_std_saved[j]
-                            * (gv - sum_g[j] / bsz - xh * sum_gx[j] / bsz);
+                            * (gv - sum_g[j] / bsz - xv * sum_gx[j] / bsz);
                     }
                 }
                 parents[0].accumulate_grad(&dx);
@@ -417,6 +426,123 @@ mod tests {
             1e-2,
             8e-2,
         );
+    }
+
+    /// Straightforward per-element batch-norm training step: returns
+    /// `(out, dx, dgamma, dbeta, running_mean, running_var)` for input `x`
+    /// `[b, n]` and upstream gradient `g`, with every accumulation in the
+    /// order the layer documents.
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    fn reference_train_step(
+        x: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        g: &[f32],
+        b: usize,
+        n: usize,
+        momentum: f32,
+        eps: f32,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+        let bf = b as f32;
+        let mut mean = vec![0.0f32; n];
+        let mut var = vec![0.0f32; n];
+        for i in 0..b {
+            for j in 0..n {
+                mean[j] += x[i * n + j];
+            }
+        }
+        for m in &mut mean {
+            *m /= bf;
+        }
+        for i in 0..b {
+            for j in 0..n {
+                let d = x[i * n + j] - mean[j];
+                var[j] += d * d;
+            }
+        }
+        for v in &mut var {
+            *v /= bf;
+        }
+        let rm: Vec<f32> = (0..n)
+            .map(|j| (1.0 - momentum) * 0.0 + momentum * mean[j])
+            .collect();
+        let rv: Vec<f32> = (0..n)
+            .map(|j| (1.0 - momentum) * 1.0 + momentum * var[j])
+            .collect();
+        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
+        let mut x_hat = vec![0.0f32; b * n];
+        let mut out = vec![0.0f32; b * n];
+        for i in 0..b {
+            for j in 0..n {
+                x_hat[i * n + j] = (x[i * n + j] - mean[j]) * inv_std[j];
+                out[i * n + j] = gamma[j] * x_hat[i * n + j] + beta[j];
+            }
+        }
+        let (mut dgamma, mut dbeta) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let (mut sum_g, mut sum_gx) = (vec![0.0f32; n], vec![0.0f32; n]);
+        for i in 0..b {
+            for j in 0..n {
+                let (gv, xh) = (g[i * n + j], x_hat[i * n + j]);
+                dgamma[j] += gv * xh;
+                dbeta[j] += gv;
+                sum_g[j] += gv;
+                sum_gx[j] += gv * xh;
+            }
+        }
+        let mut dx = vec![0.0f32; b * n];
+        for i in 0..b {
+            for j in 0..n {
+                let (gv, xh) = (g[i * n + j], x_hat[i * n + j]);
+                dx[i * n + j] = gamma[j] * inv_std[j] * (gv - sum_g[j] / bf - xh * sum_gx[j] / bf);
+            }
+        }
+        (out, dx, dgamma, dbeta, rm, rv)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Train-mode forward and backward match the reference loop bit for bit,
+    /// at a tiny shape and at the evaluator's width-128 batch shape.
+    #[test]
+    fn batchnorm_train_step_matches_reference_bits() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for (b, n) in [(7, 5), (256, 128)] {
+            let bn = BatchNorm1d::new(n);
+            let params = bn.parameters();
+            params[0].set_value(Tensor::rand_normal(&[n], 1.0, 0.5, &mut rng));
+            params[1].set_value(Tensor::rand_normal(&[n], 0.0, 0.5, &mut rng));
+            let x = Var::parameter(Tensor::rand_normal(&[b, n], 0.5, 2.0, &mut rng));
+            // `sum(out ⊙ r)` hands the layer exactly `r` as its upstream
+            // gradient (`1.0 · r` is exact).
+            let r = Tensor::rand_normal(&[b, n], 0.0, 1.0, &mut rng);
+            let out = bn.forward(&x);
+            out.mul(&Var::constant(r.clone())).sum().backward();
+
+            let (want_out, want_dx, want_dgamma, want_dbeta, want_rm, want_rv) =
+                reference_train_step(
+                    x.value().data(),
+                    params[0].value().data(),
+                    params[1].value().data(),
+                    r.data(),
+                    b,
+                    n,
+                    bn.momentum,
+                    bn.eps,
+                );
+            let grad = |v: &Var| v.grad().expect("parameter receives a gradient");
+            assert_eq!(bits(out.value().data()), bits(&want_out), "out {b}x{n}");
+            assert_eq!(bits(grad(&x).data()), bits(&want_dx), "dx {b}x{n}");
+            assert_eq!(bits(grad(&params[0]).data()), bits(&want_dgamma), "dgamma");
+            assert_eq!(bits(grad(&params[1]).data()), bits(&want_dbeta), "dbeta");
+            assert_eq!(
+                bits(bn.running_mean().data()),
+                bits(&want_rm),
+                "running mean"
+            );
+            assert_eq!(bits(bn.running_var().data()), bits(&want_rv), "running var");
+        }
     }
 
     #[test]

@@ -181,8 +181,11 @@ impl Var {
             vec![self.clone(), other.clone()],
             Box::new(move |g, parents| {
                 // Transpose-free products: bit-identical to materializing
-                // b_val.transpose() / a_val.transpose() and multiplying.
-                parents[0].accumulate_grad(&g.matmul_bt(&b_val));
+                // b_val.transpose() / a_val.transpose() and multiplying. A
+                // constant left operand would discard its gradient anyway.
+                if parents[0].requires_grad() {
+                    parents[0].accumulate_grad(&g.matmul_bt(&b_val));
+                }
                 parents[1].accumulate_grad(&a_val.matmul_at(g));
             }),
         )
@@ -648,7 +651,11 @@ impl Var {
                     Some(y) => g.binary_op(y, BinaryOp::MaskMul),
                     None => g.clone(),
                 };
-                parents[0].accumulate_grad(&gm.matmul_bt(&w_val));
+                // The first layer's input is a constant batch: skip the
+                // product `accumulate_grad` would throw away.
+                if parents[0].requires_grad() {
+                    parents[0].accumulate_grad(&gm.matmul_bt(&w_val));
+                }
                 parents[1].accumulate_grad(&x_val.matmul_at(&gm));
                 parents[2].accumulate_grad(&gm.sum_rows());
             }),

@@ -29,12 +29,14 @@ pub fn numeric_grad(params: &[&Var], f: impl Fn() -> Var, eps: f32, tol: f32) {
         let base = p.value();
         for i in 0..base.numel() {
             let mut plus = base.clone();
-            plus.data_mut()[i] += eps;
+            let pd = plus.data_mut();
+            pd[i] += eps;
             p.set_value(plus);
             let l_plus = f().item();
 
             let mut minus = base.clone();
-            minus.data_mut()[i] -= eps;
+            let md = minus.data_mut();
+            md[i] -= eps;
             p.set_value(minus);
             let l_minus = f().item();
 

@@ -24,12 +24,14 @@
 //! strict left-to-right sum below [`SUM_CHUNK`] elements).
 //!
 //! **Fused kernels.** [`Kernels::linear`] (matmul + row-broadcast bias +
-//! optional ReLU), [`Kernels::dw_conv1d_relu_fwd`], and the transpose-free
-//! backward products [`Kernels::matmul_bt`] / [`Kernels::matmul_at`] fold
-//! what used to be separate tape nodes into one kernel pass. Each fused
-//! loop nest preserves the exact per-element operation sequence of the ops
-//! it replaces (same accumulation order, same sparsity skips, multiply-form
-//! ReLU masking), so fusion is bit-invisible to digests and checkpoints.
+//! optional ReLU), [`Kernels::dw_conv1d_relu_fwd`], and the backward
+//! products [`Kernels::matmul_bt`] / [`Kernels::matmul_at`] (no transpose
+//! tensor or tape node; `matmul_bt` transposes `w` once per call into a
+//! private buffer) fold what used to be separate tape nodes into one
+//! kernel pass. Each fused loop nest preserves the exact per-element
+//! operation sequence of the ops it replaces (same accumulation order, same
+//! sparsity skips, multiply-form ReLU masking), so fusion is bit-invisible
+//! to digests and checkpoints.
 
 use std::sync::Arc;
 
@@ -163,10 +165,10 @@ pub trait Kernels: Sync {
     /// `[m, k] × [k, n] → [m, n]` matrix product.
     fn matmul(&self, a: &Data, b: &Data, m: usize, k: usize, n: usize) -> Storage;
 
-    /// `g × wᵀ` without materializing the transpose:
-    /// `[m, n] × [kdim, n]ᵀ → [m, kdim]`. Bit-identical to
-    /// `matmul(g, transpose(w))` (same accumulation order and sparsity skip
-    /// on `g`).
+    /// `g × wᵀ` in one kernel call: `[m, n] × [kdim, n]ᵀ → [m, kdim]`.
+    /// Transposes `w` once per call into a private buffer (never a tensor
+    /// or tape node) and runs the `matmul` loop nest on it, so it is
+    /// bit-identical to `matmul(g, transpose(w))`.
     fn matmul_bt(&self, g: &Data, w: &Data, m: usize, n: usize, kdim: usize) -> Storage;
 
     /// `xᵀ × g` without materializing the transpose:
@@ -512,31 +514,24 @@ fn linear_rows(
     out
 }
 
-/// `g × wᵀ` rows: for each output row `i`, iterates `j` ascending with the
-/// exact-zero skip on `g[i, j]` — the same term order the historical
-/// `matmul(g, transpose(w))` produced.
-fn matmul_bt_rows_into(
-    g: &[f32],
-    w: &[f32],
-    n: usize,
-    kdim: usize,
-    rows: Range<usize>,
-    out: &mut [f32],
-) {
-    // Materializing `wᵀ` (tiny: k×n weights) turns the stride-`n` column
-    // gather into contiguous row reads, after which this *is*
-    // `matmul(g, wᵀ)` — the very identity this kernel's bit-exactness
-    // contract is stated against: per output element the terms still
-    // arrive in ascending `j` with the exact-zero skip on `g[i, j]`.
-    let mut wt = Storage::uninit(n * kdim);
+/// `wᵀ` for the `g × wᵀ` product, as a `[n, kdim]` plain heap buffer.
+///
+/// Both [`Kernels::matmul_bt`] implementations transpose the `[kdim, n]`
+/// weight exactly once per call and then run [`matmul_rows_into`] on it, so
+/// the product *is* `matmul(g, wᵀ)` — the identity the kernel's bit-exactness
+/// contract is stated against (per output element the terms arrive in
+/// ascending `j`). At width 128 the transpose costs as much as a whole
+/// one-row chunk, so it must never be repeated per chunk.
+///
+/// Deliberately not arena [`Storage`]: the parallel path shares the buffer
+/// with its chunks through the pool job's closure, and the closure can be
+/// dropped last on a worker thread — an arena buffer would then be recycled
+/// into that worker's thread-local free list, where the caller never finds
+/// it again, and every call would strand one more.
+fn transposed(w: &[f32], kdim: usize, n: usize) -> Vec<f32> {
+    let mut wt = vec![0.0f32; n * kdim];
     transpose_cols_into(w, kdim, n, 0..n, &mut wt);
-    matmul_rows_into(g, &wt, n, kdim, rows, out);
-}
-
-fn matmul_bt_rows(g: &[f32], w: &[f32], n: usize, kdim: usize, rows: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * kdim];
-    matmul_bt_rows_into(g, w, n, kdim, rows, &mut out);
-    out
+    wt
 }
 
 /// `xᵀ × g` rows: output row `i` (a column of `x`), iterating `p` ascending
@@ -1121,7 +1116,7 @@ impl Kernels for ScalarKernels {
 
     fn matmul_bt(&self, g: &Data, w: &Data, m: usize, n: usize, kdim: usize) -> Storage {
         let mut out = Storage::uninit(m * kdim);
-        matmul_bt_rows_into(g, w, n, kdim, 0..m, &mut out);
+        matmul_rows_into(g, &transposed(w, kdim, n), n, kdim, 0..m, &mut out);
         out
     }
 
@@ -1323,10 +1318,10 @@ impl Kernels for ParallelKernels {
         }
         let _span = dance_telemetry::hot_span!("backend.matmul_bt");
         let (n_chunks, per_chunk) = row_chunks(m, n * kdim);
-        let (g, w) = (g.clone(), w.clone());
+        let (g, wt) = (g.clone(), Arc::new(transposed(w, kdim, n)));
         run_concat_storage(n_chunks, m * kdim, move |i| {
             let rows = i * per_chunk..((i + 1) * per_chunk).min(m);
-            matmul_bt_rows(&g, &w, n, kdim, rows)
+            matmul_rows(&g, &wt, n, kdim, rows)
         })
     }
 

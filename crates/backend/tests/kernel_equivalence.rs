@@ -351,3 +351,36 @@ fn kernels_accessor_single_thread_matches_scalar() {
         SCALAR.matmul(&a, &b, 64, 48, 32)
     );
 }
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The evaluator's backward shapes, which the proptests above (`n, k < 40`)
+/// never reach: at width 128, `n · kdim` equals the chunk grain, so the
+/// parallel `matmul_bt` runs one output row per chunk. Covers that regime
+/// (256×128×128), a single row (m = 1, inline path) and the 128→8 head
+/// (16 rows per chunk), each against `matmul(g, transpose(w))`.
+#[test]
+fn matmul_bt_evaluator_shapes_are_bit_identical() {
+    force_parallel_pool();
+    for (m, n, kdim) in [(256, 128, 128), (1, 128, 128), (256, 8, 128)] {
+        let tag = format!("{m}x{n}x{kdim}");
+        let g = data(values(m * n).sample_value(&mut proptest::test_rng(&format!("bt-g-{tag}"))));
+        let w = aligned(
+            &values(kdim * n).sample_value(&mut proptest::test_rng(&format!("bt-w-{tag}"))),
+        );
+        let wt = Arc::new(SCALAR.transpose(&w, kdim, n));
+        let composed = bits(&SCALAR.matmul(&g, &wt, m, n, kdim));
+        assert_eq!(
+            bits(&SCALAR.matmul_bt(&g, &w, m, n, kdim)),
+            composed,
+            "scalar {tag}"
+        );
+        assert_eq!(
+            bits(&PARALLEL.matmul_bt(&g, &w, m, n, kdim)),
+            composed,
+            "parallel {tag}"
+        );
+    }
+}

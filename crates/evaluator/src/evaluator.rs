@@ -211,9 +211,10 @@ impl Evaluator {
         }
         let pred = Tensor::from_vec(preds, &[data.len(), 3]);
         let mut target = Tensor::zeros(&[data.len(), 3]);
+        let td = target.data_mut();
         for (i, s) in data.iter().enumerate() {
             for m in 0..3 {
-                target.data_mut()[i * 3 + m] = s.metrics[m];
+                td[i * 3 + m] = s.metrics[m];
             }
         }
         relative_accuracy(&pred, &target)

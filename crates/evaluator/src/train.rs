@@ -219,9 +219,10 @@ pub fn train_cost(
             let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
             let x = Var::constant(rows_to_tensor(&row_refs));
             let mut target = Tensor::zeros(&[chunk.len(), 3]);
+            let td = target.data_mut();
             for (bi, &i) in chunk.iter().enumerate() {
                 for m in 0..3 {
-                    target.data_mut()[bi * 3 + m] = train[i].metrics[m] / norm[m];
+                    td[bi * 3 + m] = train[i].metrics[m] / norm[m];
                 }
             }
             let pred = net.forward_normalized(&x);
@@ -261,9 +262,10 @@ pub fn eval_cost(net: &CostNet, data: &[CostSample], input: CostInput) -> [f32; 
     }
     let pred = Tensor::from_vec(preds, &[data.len(), 3]);
     let mut target = Tensor::zeros(&[data.len(), 3]);
+    let td = target.data_mut();
     for (i, s) in data.iter().enumerate() {
         for m in 0..3 {
-            target.data_mut()[i * 3 + m] = s.metrics[m];
+            td[i * 3 + m] = s.metrics[m];
         }
     }
     relative_accuracy(&pred, &target)

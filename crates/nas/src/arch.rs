@@ -37,9 +37,9 @@ impl ArchParams {
         let alphas = choices
             .iter()
             .map(|c| {
-                let mut t = Tensor::zeros(&[1, n]);
-                t.data_mut()[c.index()] = sharpness;
-                Var::parameter(t)
+                let mut row = vec![0.0f32; n];
+                row[c.index()] = sharpness;
+                Var::parameter(Tensor::from_vec(row, &[1, n]))
             })
             .collect();
         Self { alphas }

@@ -21,7 +21,7 @@ cargo run --release -q -p dance-analyze -- --source crates/fleet
 
 # Source-lint fixtures are must-fail for the same reason the concurrency
 # ones are: a seeded violation that stops tripping means the rule is blind.
-for fixture in retry_backoff hot_alloc arena_escape; do
+for fixture in retry_backoff hot_alloc arena_escape cow_index; do
   echo "== dance-analyze --source fixture: ${fixture} (must fail) =="
   if cargo run --release -q -p dance-analyze -- --source \
     "crates/analyze/fixtures/source/${fixture}"; then
