@@ -133,17 +133,22 @@ fn probe(op: &str) -> Option<Probe> {
                 Box::new(move || xc.pw_conv1d(&wc, &bc).sum()),
             )
         }
-        "dw_conv1d" => {
-            let x = p(vec![0.4, -0.7, 1.1, 0.2, -0.3, 0.9, 1.4, -1.2], &[1, 2, 4]);
+        "dw_conv1d_cl" | "dw_conv1d_cl_relu" => {
+            // [B·L, C] = [2·4, 2]; stride 2 (and ReLU) keeps positions 0, 2.
+            let x = p(
+                vec![
+                    0.4, -0.7, 1.1, 0.2, -0.3, 0.9, 1.4, -1.2, 0.6, -0.5, 0.8, 0.3, -0.9, 1.3, 0.7,
+                    -0.2,
+                ],
+                &[8, 2],
+            );
             let w = p(mixed.clone(), &[2, 3]);
             let (xc, wc) = (x.clone(), w.clone());
-            (vec![x, w], Box::new(move || xc.dw_conv1d(&wc).sum()))
-        }
-        "dw_conv1d_relu" => {
-            let x = p(vec![0.4, -0.7, 1.1, 0.2, -0.3, 0.9, 1.4, -1.2], &[1, 2, 4]);
-            let w = p(mixed.clone(), &[2, 3]);
-            let (xc, wc) = (x.clone(), w.clone());
-            (vec![x, w], Box::new(move || xc.dw_conv1d_relu(&wc).sum()))
+            let relu = op == "dw_conv1d_cl_relu";
+            (
+                vec![x, w],
+                Box::new(move || xc.dw_conv1d_cl(&wc, 2, 4, 2, relu).sqr().sum()),
+            )
         }
         "global_avg_pool1d" => {
             let x = p(mixed.clone(), &[1, 2, 3]);

@@ -3,9 +3,10 @@
 //! Every method builds a new graph node whose backward closure accumulates
 //! gradients into its parents. Activations are 2-D `[batch, features]` unless
 //! noted; the 1-D convolution ops operate on `[batch, channels, length]`
-//! tensors used by the MBConv-1D supernet blocks.
+//! tensors used by the MBConv-1D supernet blocks, except the channels-last
+//! depthwise `dw_conv1d_cl` on `[batch·length, channels]`.
 
-use dance_backend::{kernels, BinaryOp, Storage, UnaryOp};
+use dance_backend::{kernels, BinaryOp, DwConv1dGeom, Storage, UnaryOp};
 
 use crate::tensor::Tensor;
 use crate::var::{OpAttrs, Var};
@@ -520,106 +521,102 @@ impl Var {
     /// Depthwise 1-D convolution with "same" zero padding:
     /// `[B, C, L] × [C, Kw] → [B, C, L]`.
     ///
+    /// A composite of [`Var::to_channels_last`], [`Var::dw_conv1d_cl`] at
+    /// stride 1 and [`Var::from_channels_last`]: the depthwise kernel only
+    /// exists channels-last, where its inner loop runs over contiguous
+    /// channels.
+    ///
     /// # Panics
     ///
     /// Panics on rank or channel mismatches, or even kernel widths.
     #[must_use]
     pub fn dw_conv1d(&self, weight: &Var) -> Var {
-        let x_val = self.value();
-        let w_val = weight.value();
-        assert_eq!(x_val.ndim(), 3, "dw_conv1d input shape {:?}", x_val.shape());
-        let (bsz, c, l) = (x_val.shape()[0], x_val.shape()[1], x_val.shape()[2]);
-        assert_eq!(
-            w_val.ndim(),
-            2,
-            "dw_conv1d weight shape {:?}",
-            w_val.shape()
-        );
-        assert_eq!(w_val.shape()[0], c, "dw_conv1d channel mismatch");
-        let kw = w_val.shape()[1];
-        assert!(kw % 2 == 1, "dw_conv1d kernel width {kw} must be odd");
-
-        let out = dance_telemetry::time("autograd.fwd.dw_conv1d", || {
-            Tensor::from_storage(
-                kernels().dw_conv1d_fwd(x_val.storage(), w_val.storage(), bsz, c, l, kw),
-                &[bsz, c, l],
-            )
-        });
-        Var::from_op(
-            "dw_conv1d",
-            out,
-            vec![self.clone(), weight.clone()],
-            Box::new(move |g, parents| {
-                let (dx, dw) = kernels().dw_conv1d_bwd(
-                    x_val.storage(),
-                    w_val.storage(),
-                    g.storage(),
-                    bsz,
-                    c,
-                    l,
-                    kw,
-                );
-                parents[0].accumulate_grad(&Tensor::from_storage(dx, &[bsz, c, l]));
-                parents[1].accumulate_grad(&Tensor::from_storage(dw, &[c, kw]));
-            }),
-        )
+        let shape = self.shape();
+        assert_eq!(shape.len(), 3, "dw_conv1d input shape {shape:?}");
+        let (bsz, l) = (shape[0], shape[2]);
+        self.to_channels_last()
+            .dw_conv1d_cl(weight, bsz, l, 1, false)
+            .from_channels_last(bsz, l)
     }
 
-    /// Fused depthwise 1-D convolution + ReLU — one tape node and one
-    /// kernel pass, bit-identical to `dw_conv1d` followed by `relu`.
+    /// Channels-last depthwise 1-D convolution with "same" zero padding,
+    /// stride `stride` and an optional fused ReLU:
+    /// `[B·L, C] × [C, Kw] → [B·⌈L/stride⌉, C]`.
     ///
-    /// The backward masks the incoming gradient from the fused op's own
-    /// output (`out > 0 ⟺ pre-activation > 0`), then runs the plain
-    /// depthwise backward — the same value sequence as the unfused pair.
+    /// Only the kept output positions `0, stride, 2·stride, …` are computed;
+    /// the values (and gradients) are bit-identical to a full-length
+    /// convolution followed by `relu` and a stride-`stride` subsample. The
+    /// backward masks the incoming gradient from the fused op's own output
+    /// (`out > 0 ⟺ pre-activation > 0`), then runs the depthwise backward.
     ///
     /// # Panics
     ///
-    /// Panics on rank or channel mismatches, or even kernel widths.
+    /// Panics if the input is not `[batch·len, C]`, the weight is not
+    /// `[C, Kw]` with odd `Kw`, or `stride` is zero.
     #[must_use]
-    pub fn dw_conv1d_relu(&self, weight: &Var) -> Var {
+    pub fn dw_conv1d_cl(
+        &self,
+        weight: &Var,
+        batch: usize,
+        len: usize,
+        stride: usize,
+        relu: bool,
+    ) -> Var {
         let x_val = self.value();
         let w_val = weight.value();
-        assert_eq!(
-            x_val.ndim(),
-            3,
-            "dw_conv1d_relu input shape {:?}",
-            x_val.shape()
+        let (xs, ws) = (x_val.shape(), w_val.shape());
+        assert!(
+            xs.len() == 2 && xs[0] == batch * len && batch * len > 0,
+            "dw_conv1d_cl input shape {xs:?} is not [{batch}·{len}, C]"
         );
-        let (bsz, c, l) = (x_val.shape()[0], x_val.shape()[1], x_val.shape()[2]);
-        assert_eq!(
-            w_val.ndim(),
-            2,
-            "dw_conv1d_relu weight shape {:?}",
-            w_val.shape()
+        assert!(
+            ws.len() == 2 && ws[0] == xs[1] && xs[1] > 0,
+            "dw_conv1d_cl weight shape {ws:?} vs input {xs:?}"
         );
-        assert_eq!(w_val.shape()[0], c, "dw_conv1d_relu channel mismatch");
-        let kw = w_val.shape()[1];
-        assert!(kw % 2 == 1, "dw_conv1d_relu kernel width {kw} must be odd");
-
-        let out = dance_telemetry::time("autograd.fwd.dw_conv1d_relu", || {
+        assert!(
+            ws[1] % 2 == 1,
+            "dw_conv1d_cl kernel width {} must be odd",
+            ws[1]
+        );
+        assert!(stride > 0, "dw_conv1d_cl stride must be positive");
+        let geom = DwConv1dGeom {
+            batch,
+            channels: xs[1],
+            len,
+            kernel: ws[1],
+            stride,
+        };
+        let out = dance_telemetry::time("autograd.fwd.dw_conv1d_cl", || {
             Tensor::from_storage(
-                kernels().dw_conv1d_relu_fwd(x_val.storage(), w_val.storage(), bsz, c, l, kw),
-                &[bsz, c, l],
+                kernels().dw_conv1d_cl_fwd(x_val.storage(), w_val.storage(), geom, relu),
+                &[geom.out_rows(), geom.channels],
             )
         });
-        let y_val = out.clone();
-        Var::from_op(
-            "dw_conv1d_relu",
+        let y_val = relu.then(|| out.clone());
+        Var::from_op_attrs(
+            if relu {
+                "dw_conv1d_cl_relu"
+            } else {
+                "dw_conv1d_cl"
+            },
             out,
             vec![self.clone(), weight.clone()],
+            OpAttrs::LengthStride { len, stride },
             Box::new(move |g, parents| {
-                let gm = g.binary_op(&y_val, BinaryOp::MaskMul);
-                let (dx, dw) = kernels().dw_conv1d_bwd(
+                let gm = match &y_val {
+                    Some(y) => g.binary_op(y, BinaryOp::MaskMul),
+                    None => g.clone(),
+                };
+                let (dx, dw) = kernels().dw_conv1d_cl_bwd(
                     x_val.storage(),
                     w_val.storage(),
                     gm.storage(),
-                    bsz,
-                    c,
-                    l,
-                    kw,
+                    geom,
                 );
-                parents[0].accumulate_grad(&Tensor::from_storage(dx, &[bsz, c, l]));
-                parents[1].accumulate_grad(&Tensor::from_storage(dw, &[c, kw]));
+                parents[0]
+                    .accumulate_grad(&Tensor::from_storage(dx, &[geom.in_rows(), geom.channels]));
+                parents[1]
+                    .accumulate_grad(&Tensor::from_storage(dw, &[geom.channels, geom.kernel]));
             }),
         )
     }
@@ -1004,6 +1001,30 @@ mod tests {
         ));
         let y = x.dw_conv1d(&w);
         assert!(y.value().approx_eq(&x.value(), 1e-6));
+    }
+
+    #[test]
+    fn dw_conv1d_cl_is_conv_relu_downsample_bit_for_bit() {
+        let x = Var::parameter(randn(&[2, 3, 7], 31));
+        let w = Var::parameter(randn(&[3, 5], 32));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |y: Var| {
+            y.sqr().sum().backward();
+            let out = (
+                bits(&y.value()),
+                bits(&x.grad().expect("x grad")),
+                bits(&w.grad().expect("w grad")),
+            );
+            x.zero_grad();
+            w.zero_grad();
+            out
+        };
+        let fused = run(x
+            .to_channels_last()
+            .dw_conv1d_cl(&w, 2, 7, 2, true)
+            .from_channels_last(2, 4));
+        let composed = run(x.dw_conv1d(&w).relu().downsample1d(2));
+        assert_eq!(fused, composed);
     }
 
     #[test]

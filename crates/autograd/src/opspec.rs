@@ -213,11 +213,13 @@ fn pw_conv1d_rule(parents: &[Vec<usize>], out: &[usize]) -> ShapeCheck {
     }
 }
 
-fn dw_conv1d_rule(parents: &[Vec<usize>], out: &[usize]) -> ShapeCheck {
+fn dw_conv1d_cl_rule(parents: &[Vec<usize>], out: &[usize]) -> ShapeCheck {
+    // `[B·L, C] × [C, Kw] → [B·⌈L/s⌉, C]`: the rule cannot see `L` or the
+    // stride, so it checks the channel axis and that rows never grow.
     let (x, w) = (&parents[0], &parents[1]);
-    if x.len() != 3 || w.len() != 2 {
+    if x.len() != 2 || w.len() != 2 {
         return Err(format!(
-            "dw_conv1d needs [B,C,L] input and [C,Kw] weight, got {}",
+            "dw_conv1d_cl needs [B·L,C] input and [C,Kw] weight, got {}",
             fmt_shapes(parents)
         ));
     }
@@ -230,10 +232,13 @@ fn dw_conv1d_rule(parents: &[Vec<usize>], out: &[usize]) -> ShapeCheck {
     if w[1] % 2 == 0 {
         return Err(format!("kernel width {} must be odd", w[1]));
     }
-    if out == x.as_slice() {
+    if out.len() == 2 && out[1] == x[1] && out[0] >= 1 && out[0] <= x[0] {
         Ok(())
     } else {
-        Err(format!("output {out:?} must match input {x:?}"))
+        Err(format!(
+            "output {out:?} must be [rows ≤ {}, {}]",
+            x[0], x[1]
+        ))
     }
 }
 
@@ -461,16 +466,16 @@ pub const REGISTRY: &[OpSpec] = &[
         shape_rule: pw_conv1d_rule,
     },
     OpSpec {
-        name: "dw_conv1d",
+        name: "dw_conv1d_cl",
         arity: Arity::Exact(2),
         differentiable: true,
-        shape_rule: dw_conv1d_rule,
+        shape_rule: dw_conv1d_cl_rule,
     },
     OpSpec {
-        name: "dw_conv1d_relu",
+        name: "dw_conv1d_cl_relu",
         arity: Arity::Exact(2),
         differentiable: true,
-        shape_rule: dw_conv1d_rule,
+        shape_rule: dw_conv1d_cl_rule,
     },
     OpSpec {
         name: "global_avg_pool1d",
@@ -581,5 +586,8 @@ mod tests {
         assert!(reshape_rule(&[vec![2, 6]], &[3, 5]).is_err());
         assert!(from_channels_last_rule(&[vec![8, 3]], &[2, 3, 4]).is_ok());
         assert!(from_channels_last_rule(&[vec![8, 3]], &[2, 3, 5]).is_err());
+        assert!(dw_conv1d_cl_rule(&[vec![8, 3], vec![3, 5]], &[4, 3]).is_ok());
+        assert!(dw_conv1d_cl_rule(&[vec![8, 3], vec![3, 4]], &[4, 3]).is_err());
+        assert!(dw_conv1d_cl_rule(&[vec![8, 3], vec![3, 5]], &[9, 3]).is_err());
     }
 }

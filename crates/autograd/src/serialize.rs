@@ -12,11 +12,29 @@
 
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::tensor::Tensor;
 
 const MAGIC: &str = "dance-tensors v1";
+
+/// Writes started in this process, numbering their temporary files.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A sibling temporary path for an atomic write of `path`, unique per
+/// write: `<path>.tmp.<pid>.<n>`, with `n` from a process-wide counter.
+///
+/// Two writers to the same target — in different processes, or threads of
+/// one process, such as a fenced attempt and its re-dispatch sharing a
+/// checkpoint directory — therefore never write one temporary file, so
+/// each rename publishes one writer's complete content.
+#[must_use]
+pub fn unique_temp_path(path: &Path) -> PathBuf {
+    let n = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    // analyze:allow(determinism) pid names the temp file only; contents are seeded
+    path.with_extension(format!("tmp.{}.{n}", std::process::id()))
+}
 
 /// Writes named tensors to `path` (parent directories are created).
 ///
@@ -54,8 +72,7 @@ pub fn save_tensors(path: impl AsRef<Path>, items: &[(String, Tensor)]) -> io::R
         }
         out.push('\n');
     }
-    // analyze:allow(determinism) pid names the temp file only; contents are seeded
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let tmp = unique_temp_path(path);
     fs::write(&tmp, out)?;
     if let Err(e) = fs::rename(&tmp, path) {
         let _cleanup = fs::remove_file(&tmp); // best effort; the error below matters more
@@ -178,6 +195,52 @@ mod tests {
         fs::write(&path, format!("{MAGIC}\nw;2,2;3f800000 3f800000\n")).unwrap();
         let err = load_tensors(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_file(path);
+    }
+
+    /// Two threads saving different contents to one path, many times:
+    /// every save succeeds and the file always holds one writer's full
+    /// content.
+    #[test]
+    fn concurrent_saves_to_one_path_never_mix() {
+        let path = temp("concurrent");
+        let contents: Vec<Vec<(String, Tensor)>> = (0..2)
+            .map(|w| vec![(format!("w{w}"), Tensor::full(&[512], w as f32 + 1.0))])
+            .collect();
+        let barrier = std::sync::Barrier::new(contents.len());
+        // Failures are counted, not panicked on, so both writers always
+        // reach every barrier and a broken writer fails the test instead
+        // of hanging it.
+        let failures: usize = std::thread::scope(|s| {
+            let writers: Vec<_> = contents
+                .iter()
+                .map(|items| {
+                    let (path, contents, barrier) = (&path, &contents, &barrier);
+                    s.spawn(move || {
+                        (0..100)
+                            .filter(|_| {
+                                barrier.wait(); // both writers start each save together
+                                let back =
+                                    save_tensors(path, items).and_then(|()| load_tensors(path));
+                                !back.is_ok_and(|b| {
+                                    contents
+                                        .iter()
+                                        .any(|c| c[0].0 == b[0].0 && c[0].1.data() == b[0].1.data())
+                                })
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .map(|w| w.join().expect("writer thread"))
+                .sum()
+        });
+        assert_eq!(
+            failures, 0,
+            "saves failed or left a file with neither writer's content"
+        );
         let _ = fs::remove_file(path);
     }
 

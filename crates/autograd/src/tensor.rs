@@ -255,12 +255,6 @@ impl Tensor {
         self.data.as_slice().to_vec()
     }
 
-    /// Consumes the tensor, returning the underlying data as a `Vec`.
-    #[deprecated(note = "use `storage()` for sharing or `to_vec()` for a copy")]
-    pub fn into_data(self) -> Vec<f32> {
-        self.data.as_slice().to_vec()
-    }
-
     /// The single value of a one-element tensor.
     ///
     /// # Panics

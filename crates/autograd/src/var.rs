@@ -54,6 +54,14 @@ pub enum OpAttrs {
     },
     /// A temporal stride (`downsample1d`).
     Stride(usize),
+    /// Input length and stride of a channels-last depthwise convolution
+    /// (`dw_conv1d_cl`, `dw_conv1d_cl_relu`; the batch is rows ÷ `len`).
+    LengthStride {
+        /// Input length per batch sample.
+        len: usize,
+        /// Output stride.
+        stride: usize,
+    },
     /// The `[batch, channels, length]` restoration of `from_channels_last`.
     BatchLength {
         /// Leading batch dimension of the restored tensor.

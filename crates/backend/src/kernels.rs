@@ -2,10 +2,15 @@
 //!
 //! Two implementations of one [`Kernels`] trait:
 //!
-//! * [`ScalarKernels`] — the reference: literally the original single-thread
-//!   loop nests the autograd crate shipped with.
+//! * [`ScalarKernels`] — the reference: one inline pass of each op's
+//!   row-range loop nest over the whole output.
 //! * [`ParallelKernels`] — the default: partitions each kernel's *output*
-//!   into disjoint contiguous chunks executed on the [`crate::pool`].
+//!   into disjoint contiguous row ranges executed on the [`crate::pool`].
+//!
+//! Each op's loop nest is written once, as a row-range `*_into` function
+//! over `(inputs, rows, &mut out)`; the scalar path, the parallel chunks
+//! (through one alloc-then-splice helper) and the allocation-free `*_into`
+//! trait methods the frozen plans call all run that same function.
 //!
 //! Every allocating method returns an aligned, arena-recycled
 //! [`Storage`] (see [`crate::storage`]); the shared handle type the tensor
@@ -24,15 +29,23 @@
 //! strict left-to-right sum below [`SUM_CHUNK`] elements).
 //!
 //! **Fused kernels.** [`Kernels::linear`] (matmul + row-broadcast bias +
-//! optional ReLU), [`Kernels::dw_conv1d_relu_fwd`], and the backward
-//! products [`Kernels::matmul_bt`] / [`Kernels::matmul_at`] (no transpose
-//! tensor or tape node; `matmul_bt` transposes `w` once per call into a
-//! private buffer) fold what used to be separate tape nodes into one
-//! kernel pass. Each fused loop nest preserves the exact per-element
-//! operation sequence of the ops it replaces (same accumulation order, same
-//! sparsity skips, multiply-form ReLU masking), so fusion is bit-invisible
-//! to digests and checkpoints.
+//! optional ReLU), [`Kernels::dw_conv1d_cl_fwd`] (depthwise conv + stride +
+//! optional ReLU), and the backward products [`Kernels::matmul_bt`] /
+//! [`Kernels::matmul_at`] (no transpose tensor or tape node; `matmul_bt`
+//! transposes `w` once per call into a private buffer) fold what used to be
+//! separate tape nodes into one kernel pass. Each fused loop nest preserves
+//! the exact per-element operation sequence of the ops it replaces (same
+//! accumulation order, multiply-form ReLU masking), so fusion is
+//! bit-invisible to digests and checkpoints.
+//!
+//! **Depthwise convolution is channels-last.** The MBConv supernet keeps its
+//! block interiors as `[B·L, C]` matrices (the layout the pointwise
+//! `linear`s read and write), so the one depthwise kernel family,
+//! [`Kernels::dw_conv1d_cl_fwd`] / [`Kernels::dw_conv1d_cl_bwd`], runs its
+//! inner loop over contiguous channels and computes strided outputs only at
+//! the positions a stride keeps ([`DwConv1dGeom`]).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::pool;
@@ -52,6 +65,11 @@ const PAR_MIN_WORK: usize = 32_768;
 /// Target work units per chunk. Chunk counts derive from this and the
 /// problem size only — never from the thread count.
 const GRAIN: usize = 16_384;
+
+/// Fewest channels one chunk of the depthwise weight gradient covers: its
+/// inner loop runs over a chunk's channels, so a chunk spans at least one
+/// 64-byte line of every row it reads.
+const DW_CHANNEL_BLOCK: usize = 16;
 
 /// Element-wise unary operations (enumerated so jobs stay `'static`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,6 +173,52 @@ impl BinaryOp {
     }
 }
 
+/// Geometry of a channels-last depthwise 1-D convolution with "same" zero
+/// padding: input `[batch·len, channels]`, weight `[channels, kernel]`
+/// (odd `kernel`), output `[batch·out_len, channels]` holding only the
+/// positions `0, stride, 2·stride, …` a strided convolution keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DwConv1dGeom {
+    /// Batch size.
+    pub batch: usize,
+    /// Channels — the contiguous axis of every row.
+    pub channels: usize,
+    /// Input length.
+    pub len: usize,
+    /// Kernel width (odd).
+    pub kernel: usize,
+    /// Output stride (≥ 1).
+    pub stride: usize,
+}
+
+impl DwConv1dGeom {
+    /// Output length, `⌈len / stride⌉`.
+    #[must_use]
+    pub fn out_len(&self) -> usize {
+        self.len.div_ceil(self.stride)
+    }
+
+    /// Input rows, `batch · len`.
+    #[must_use]
+    pub fn in_rows(&self) -> usize {
+        self.batch * self.len
+    }
+
+    /// Output rows, `batch · out_len`.
+    #[must_use]
+    pub fn out_rows(&self) -> usize {
+        self.batch * self.out_len()
+    }
+
+    /// The taps `j` of the output at position `li` whose input position
+    /// `li + j − kernel/2` lies inside the row (never empty: the centre tap
+    /// always does).
+    fn taps(&self, li: usize) -> Range<usize> {
+        let pad = self.kernel / 2;
+        pad.saturating_sub(li)..(self.len + pad - li).min(self.kernel)
+    }
+}
+
 /// The compute kernels the `Tensor`/`Var` hot paths dispatch through.
 ///
 /// Shapes are passed explicitly (row-major storage throughout); every
@@ -248,41 +312,21 @@ pub trait Kernels: Sync {
         k: usize,
     ) -> (Storage, Storage, Storage);
 
-    /// Depthwise conv forward ("same" padding, odd `kw`):
-    /// `[B, C, L] × [C, Kw] → [B, C, L]`.
-    fn dw_conv1d_fwd(
-        &self,
-        x: &Data,
-        w: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
-    ) -> Storage;
+    /// Channels-last depthwise conv forward:
+    /// `[B·L, C] × [C, Kw] → [B·⌈L/s⌉, C]` (see [`DwConv1dGeom`]), with
+    /// `max(·, 0)` applied to each finished sum when `relu`. Transposes
+    /// `w` to `[Kw, C]` once per call.
+    fn dw_conv1d_cl_fwd(&self, x: &Data, w: &Data, geom: DwConv1dGeom, relu: bool) -> Storage;
 
-    /// Fused depthwise conv + ReLU forward — bit-identical to
-    /// `dw_conv1d_fwd` followed by `max(·, 0)`.
-    fn dw_conv1d_relu_fwd(
-        &self,
-        x: &Data,
-        w: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
-    ) -> Storage;
-
-    /// Depthwise conv backward: returns `(dx, dw)`.
-    #[allow(clippy::too_many_arguments)]
-    fn dw_conv1d_bwd(
+    /// Channels-last depthwise conv backward from the kept-output gradient
+    /// `g` (`[B·⌈L/s⌉, C]`, already ReLU-masked by the caller): returns
+    /// `(dx [B·L, C], dw [C, Kw])`.
+    fn dw_conv1d_cl_bwd(
         &self,
         x: &Data,
         w: &Data,
         g: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
+        geom: DwConv1dGeom,
     ) -> (Storage, Storage);
 
     /// `[B, C, L] → [B·L, C]` permutation.
@@ -295,10 +339,8 @@ pub trait Kernels: Sync {
     //
     // Provided methods writing into caller-owned buffers, for frozen
     // inference plans (`dance-plan`) that preallocate every activation.
-    // Each runs the same scalar loop nest as the reference implementation,
-    // so outputs are bit-identical to the allocating methods at any thread
-    // count (the parallel methods are themselves bit-identical to scalar
-    // per the module contract).
+    // Each runs the same row-range loop nest as the allocating methods, so
+    // outputs are bit-identical to them at any thread count.
 
     /// [`Kernels::matmul`] into a caller-owned `[m·n]` buffer.
     fn matmul_into(&self, a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
@@ -379,34 +421,18 @@ pub trait Kernels: Sync {
         pw_fwd_rows_into(x, w, bias, c, l, k, 0..bsz * k, out);
     }
 
-    /// [`Kernels::dw_conv1d_fwd`] into a caller-owned `[B·C·L]` buffer.
-    #[allow(clippy::too_many_arguments)]
-    fn dw_conv1d_fwd_into(
+    /// [`Kernels::dw_conv1d_cl_fwd`] into a caller-owned `[B·⌈L/s⌉·C]`
+    /// buffer. Takes the kernel already transposed to `[Kw, C]` (frozen
+    /// plans fold it that way), so a plan run allocates nothing.
+    fn dw_conv1d_cl_fwd_into(
         &self,
         x: &[f32],
-        w: &[f32],
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
+        wt: &[f32],
+        geom: DwConv1dGeom,
+        relu: bool,
         out: &mut [f32],
     ) {
-        dw_fwd_rows_into(x, w, c, l, kw, false, 0..bsz * c, out);
-    }
-
-    /// [`Kernels::dw_conv1d_relu_fwd`] into a caller-owned `[B·C·L]` buffer.
-    #[allow(clippy::too_many_arguments)]
-    fn dw_conv1d_relu_fwd_into(
-        &self,
-        x: &[f32],
-        w: &[f32],
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
-        out: &mut [f32],
-    ) {
-        dw_fwd_rows_into(x, w, c, l, kw, true, 0..bsz * c, out);
+        dw_cl_fwd_rows_into(x, wt, geom, relu, 0..geom.out_rows(), out);
     }
 
     /// [`Kernels::to_channels_last`] into a caller-owned `[B·L·C]` buffer.
@@ -421,12 +447,11 @@ pub trait Kernels: Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Range-parameterized loop nests shared by both implementations. Each helper
-// computes rows `rows.start..rows.end` (or the stated range) of the output,
-// with per-element accumulation order identical to the original code.
+// Row-range loop nests shared by both implementations. Each helper computes
+// rows `rows.start..rows.end` (or the stated range) of the output into a
+// slice holding exactly those rows, with per-element accumulation order
+// identical to the original code.
 // ---------------------------------------------------------------------------
-
-use std::ops::Range;
 
 fn matmul_rows_into(a: &[f32], b: &[f32], k: usize, n: usize, rows: Range<usize>, out: &mut [f32]) {
     out.fill(0.0);
@@ -464,12 +489,6 @@ fn matmul_rows_into(a: &[f32], b: &[f32], k: usize, n: usize, rows: Range<usize>
     }
 }
 
-fn matmul_rows(a: &[f32], b: &[f32], k: usize, n: usize, rows: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    matmul_rows_into(a, b, k, n, rows, &mut out);
-    out
-}
-
 /// Fused matmul + bias (+ ReLU): the bias/activation pass runs per row right
 /// after that row's accumulation, element order identical to the historical
 /// matmul → add_row_broadcast → relu sequence.
@@ -499,22 +518,9 @@ fn linear_rows_into(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn linear_rows(
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    k: usize,
-    n: usize,
-    relu: bool,
-    rows: Range<usize>,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    linear_rows_into(x, w, bias, k, n, relu, rows, &mut out);
-    out
-}
-
-/// `wᵀ` for the `g × wᵀ` product, as a `[n, kdim]` plain heap buffer.
+/// The `[n, kdim]` transpose of a `[kdim, n]` matrix as a plain heap
+/// buffer: `wᵀ` for the `g × wᵀ` product, and the `[Kw, C]` tap-major
+/// depthwise kernel.
 ///
 /// Both [`Kernels::matmul_bt`] implementations transpose the `[kdim, n]`
 /// weight exactly once per call and then run [`matmul_rows_into`] on it, so
@@ -535,9 +541,8 @@ fn transposed(w: &[f32], kdim: usize, n: usize) -> Vec<f32> {
 }
 
 /// `xᵀ × g` rows: output row `i` (a column of `x`), iterating `p` ascending
-/// with the exact-zero skip on `x[p, i]` — the same term order the
-/// historical `matmul(transpose(x), g)` produced, with contiguous reads of
-/// `g` and writes of `out`.
+/// — the same term order the historical `matmul(transpose(x), g)` produced,
+/// with contiguous reads of `g` and writes of `out`.
 fn matmul_at_rows_into(
     x: &[f32],
     g: &[f32],
@@ -550,25 +555,11 @@ fn matmul_at_rows_into(
     // Gathering the requested columns of `x` into contiguous rows turns
     // the stride-`kdim` walk into sequential reads, after which this *is*
     // `matmul(xᵀ, g)` restricted to those rows — same ascending-`p` term
-    // order, same exact-zero skip on `x[p, i]`, so bit-identical. Only the
-    // chunk's own rows are transposed, so parallel callers do no
-    // duplicate work.
+    // order, so bit-identical. Only the chunk's own rows are transposed,
+    // so parallel callers do no duplicate work.
     let mut xt = Storage::uninit(rows.len() * m);
     transpose_cols_into(x, m, kdim, rows.clone(), &mut xt);
     matmul_rows_into(&xt, g, m, n, 0..rows.len(), out);
-}
-
-fn matmul_at_rows(
-    x: &[f32],
-    g: &[f32],
-    m: usize,
-    kdim: usize,
-    n: usize,
-    rows: Range<usize>,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    matmul_at_rows_into(x, g, m, kdim, n, rows, &mut out);
-    out
 }
 
 fn transpose_cols_into(a: &[f32], m: usize, n: usize, cols: Range<usize>, out: &mut [f32]) {
@@ -579,22 +570,10 @@ fn transpose_cols_into(a: &[f32], m: usize, n: usize, cols: Range<usize>, out: &
     }
 }
 
-fn transpose_cols(a: &[f32], m: usize, n: usize, cols: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; cols.len() * m];
-    transpose_cols_into(a, m, n, cols, &mut out);
-    out
-}
-
 fn unary_range_into(a: &[f32], op: UnaryOp, range: Range<usize>, out: &mut [f32]) {
     for (o, &x) in out.iter_mut().zip(a[range].iter()) {
         *o = op.apply(x);
     }
-}
-
-fn unary_range(a: &[f32], op: UnaryOp, range: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; range.len()];
-    unary_range_into(a, op, range, &mut out);
-    out
 }
 
 fn binary_range_into(a: &[f32], b: &[f32], op: BinaryOp, range: Range<usize>, out: &mut [f32]) {
@@ -605,12 +584,6 @@ fn binary_range_into(a: &[f32], b: &[f32], op: BinaryOp, range: Range<usize>, ou
     {
         *o = op.apply(x, y);
     }
-}
-
-fn binary_range(a: &[f32], b: &[f32], op: BinaryOp, range: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; range.len()];
-    binary_range_into(a, b, op, range, &mut out);
-    out
 }
 
 /// Fixed-block sum: strict left-to-right inside each `SUM_CHUNK` block,
@@ -646,12 +619,6 @@ fn sum_rows_cols_into(a: &[f32], m: usize, n: usize, cols: Range<usize>, out: &m
     }
 }
 
-fn sum_rows_cols(a: &[f32], m: usize, n: usize, cols: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; cols.len()];
-    sum_rows_cols_into(a, m, n, cols, &mut out);
-    out
-}
-
 fn softmax_rows_range_into(a: &[f32], n: usize, rows: Range<usize>, out: &mut [f32]) {
     for (local, i) in rows.enumerate() {
         let row = &a[i * n..(i + 1) * n];
@@ -668,12 +635,6 @@ fn softmax_rows_range_into(a: &[f32], n: usize, rows: Range<usize>, out: &mut [f
     }
 }
 
-fn softmax_rows_range(a: &[f32], n: usize, rows: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    softmax_rows_range_into(a, n, rows, &mut out);
-    out
-}
-
 fn add_row_broadcast_rows_into(
     x: &[f32],
     bias: &[f32],
@@ -688,12 +649,6 @@ fn add_row_broadcast_rows_into(
     }
 }
 
-fn add_row_broadcast_rows(x: &[f32], bias: &[f32], n: usize, rows: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    add_row_broadcast_rows_into(x, bias, n, rows, &mut out);
-    out
-}
-
 fn mul_row_broadcast_rows_into(
     x: &[f32],
     scale: &[f32],
@@ -706,12 +661,6 @@ fn mul_row_broadcast_rows_into(
             out[local * n + j] = x[i * n + j] * scale[j];
         }
     }
-}
-
-fn mul_row_broadcast_rows(x: &[f32], scale: &[f32], n: usize, rows: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    mul_row_broadcast_rows_into(x, scale, n, rows, &mut out);
-    out
 }
 
 /// Pointwise forward over flattened output rows `r = b·K + ko` (each row is
@@ -748,20 +697,6 @@ fn pw_fwd_rows_into(
     }
 }
 
-fn pw_fwd_rows(
-    x: &[f32],
-    w: &[f32],
-    bias: &[f32],
-    c: usize,
-    l: usize,
-    k: usize,
-    rows: Range<usize>,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * l];
-    pw_fwd_rows_into(x, w, bias, c, l, k, rows, &mut out);
-    out
-}
-
 /// Pointwise backward, weight/bias half: for each output channel `ko` in
 /// the range, accumulates `dw[ko, :]` and `db[ko]` over batches in batch
 /// order — exactly the original `b`-outer traversal restricted to `ko`.
@@ -795,22 +730,6 @@ fn pw_bwd_dwdb_kos_into(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn pw_bwd_dwdb_kos(
-    x: &[f32],
-    g: &[f32],
-    bsz: usize,
-    c: usize,
-    l: usize,
-    k: usize,
-    kos: Range<usize>,
-) -> (Vec<f32>, Vec<f32>) {
-    let mut dw = vec![0.0f32; kos.len() * c];
-    let mut db = vec![0.0f32; kos.len()];
-    pw_bwd_dwdb_kos_into(x, g, bsz, c, l, k, kos, &mut dw, &mut db);
-    (dw, db)
-}
-
 /// Pointwise backward, input half: `dx` for whole batches in the range
 /// (each batch is the contiguous span `dx[b·C·L ..]`); `ko` stays the inner
 /// accumulation axis, as in the original.
@@ -838,63 +757,31 @@ fn pw_bwd_dx_batches_into(
     }
 }
 
-fn pw_bwd_dx_batches(
-    w: &[f32],
-    g: &[f32],
-    c: usize,
-    l: usize,
-    k: usize,
-    batches: Range<usize>,
-) -> Vec<f32> {
-    let mut dx = vec![0.0f32; batches.len() * c * l];
-    pw_bwd_dx_batches_into(w, g, c, l, k, batches, &mut dx);
-    dx
-}
-
-/// Depthwise forward over flattened rows `r = b·C + ci` (contiguous
-/// output); `relu` folds the `max(·, 0)` into the store, matching a
-/// separate ReLU pass bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-fn dw_fwd_rows_into(
+/// Channels-last depthwise forward over output rows `r = b·⌈L/s⌉ + q`
+/// (input position `li = q·s`), `wt` the `[Kw, C]` tap-major kernel.
+///
+/// Each tap is one contiguous multiply-add over the row's channels. Every
+/// output element sums its in-range taps in ascending order onto `+0.0`
+/// — the per-element chain of the historical channels-first loop nest —
+/// and `relu` applies `max(·, 0)` to the finished sum, as a separate ReLU
+/// pass would. Positions a stride drops are never computed.
+fn dw_cl_fwd_rows_into(
     x: &[f32],
-    w: &[f32],
-    c: usize,
-    l: usize,
-    kw: usize,
+    wt: &[f32],
+    geom: DwConv1dGeom,
     relu: bool,
     rows: Range<usize>,
     out: &mut [f32],
 ) {
-    let pad = kw / 2;
-    for (local, r) in rows.enumerate() {
-        let ci = r % c;
-        let x_row = &x[r * l..(r + 1) * l];
-        let w_row = &w[ci * kw..(ci + 1) * kw];
-        let o_row = &mut out[local * l..(local + 1) * l];
-        // Tap-outer form: each kernel tap is one contiguous shifted SAXPY
-        // over the row instead of a per-element boundary branch. Every
-        // output element still sums its valid taps in ascending-`j` order
-        // (taps out of range simply never touch that element), and folding
-        // the ReLU into a trailing pass applies `max(·, 0)` to the same
-        // accumulated value the per-element form produced.
+    let (c, lo, pad) = (geom.channels, geom.out_len(), geom.kernel / 2);
+    for (o_row, r) in out.chunks_exact_mut(c).zip(rows) {
+        let (b, li) = (r / lo, (r % lo) * geom.stride);
         o_row.fill(0.0);
-        for (j, &wv) in w_row.iter().enumerate() {
-            if j >= pad {
-                let off = j - pad; // reads x_row[li + off]
-                if off >= l {
-                    continue; // tap falls wholly outside a very short row
-                }
-                for (o, &xv) in o_row[..l - off].iter_mut().zip(x_row[off..].iter()) {
-                    *o += wv * xv;
-                }
-            } else {
-                let off = pad - j; // reads x_row[li - off], li >= off
-                if off >= l {
-                    continue;
-                }
-                for (o, &xv) in o_row[off..].iter_mut().zip(x_row[..l - off].iter()) {
-                    *o += wv * xv;
-                }
+        for j in geom.taps(li) {
+            let x_row = &x[(b * geom.len + li + j - pad) * c..][..c];
+            let w_row = &wt[j * c..][..c];
+            for ((o, &xv), &wv) in o_row.iter_mut().zip(x_row).zip(w_row) {
+                *o += wv * xv;
             }
         }
         if relu {
@@ -905,146 +792,82 @@ fn dw_fwd_rows_into(
     }
 }
 
-fn dw_fwd_rows(
-    x: &[f32],
-    w: &[f32],
-    c: usize,
-    l: usize,
-    kw: usize,
-    relu: bool,
-    rows: Range<usize>,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * l];
-    dw_fwd_rows_into(x, w, c, l, kw, relu, rows, &mut out);
-    out
-}
-
-/// Depthwise backward, input half: `dx` rows `r = b·C + ci` (contiguous).
-/// A depthwise `dx[b, ci]` row only receives contributions from the matching
-/// `g[b, ci]` row, in the original `(li, j)` order.
-fn dw_bwd_dx_rows_into(
-    w: &[f32],
+/// Channels-last depthwise input gradient over input rows `r = b·L + p`,
+/// from the kept-output gradient `g` (`[B·⌈L/s⌉, C]`).
+///
+/// Input position `p` receives `g[li]·w[j]` from every output position
+/// `li = p + pad − j`; the terms arrive in descending `j` (ascending `li`),
+/// the historical scatter's per-element order. Output positions a stride
+/// drops carry a zero gradient, and their `±0·w` terms cannot move a sum
+/// started at `+0.0` (it is never `-0.0` mid-chain under round-to-nearest),
+/// so skipping them keeps every bit.
+fn dw_cl_dx_rows_into(
     g: &[f32],
-    c: usize,
-    l: usize,
-    kw: usize,
+    wt: &[f32],
+    geom: DwConv1dGeom,
     rows: Range<usize>,
     dx: &mut [f32],
 ) {
-    let pad = kw / 2;
-    dx.fill(0.0);
-    for (local, r) in rows.enumerate() {
-        let ci = r % c;
-        let g_row = &g[r * l..(r + 1) * l];
-        let w_row = &w[ci * kw..(ci + 1) * kw];
-        let d_row = &mut dx[local * l..(local + 1) * l];
-        // Tap-outer form of the scatter: `dx[li + j - pad] += g[li]·w[j]`
-        // becomes one shifted SAXPY per tap. Each `dx` element's terms come
-        // from ascending `li`, which is *descending* `j` — so the taps run
-        // in reverse to keep the accumulation chain identical to the
-        // per-element original. The historical `g[li] == 0` skip is gone:
-        // with finite weights, adding `0·w` to a running sum is a bit-level
-        // no-op (a partial sum can never be `-0.0` mid-chain), and the
-        // branch-free loop vectorizes where the skip could not.
-        for j in (0..kw).rev() {
-            let wv = w_row[j];
-            if j >= pad {
-                let off = j - pad; // writes d_row[li + off], reads g_row[li]
-                if off >= l {
-                    continue;
-                }
-                for (o, &gv) in d_row[off..].iter_mut().zip(g_row[..l - off].iter()) {
-                    *o += gv * wv;
-                }
-            } else {
-                let off = pad - j;
-                if off >= l {
-                    continue;
-                }
-                for (o, &gv) in d_row[..l - off].iter_mut().zip(g_row[off..].iter()) {
-                    *o += gv * wv;
-                }
+    let (c, lo, pad, s) = (geom.channels, geom.out_len(), geom.kernel / 2, geom.stride);
+    for (d_row, r) in dx.chunks_exact_mut(c).zip(rows) {
+        let (b, p) = (r / geom.len, r % geom.len);
+        d_row.fill(0.0);
+        for j in (0..geom.kernel).rev() {
+            let Some(li) = (p + pad).checked_sub(j) else {
+                continue;
+            };
+            if li >= geom.len || li % s != 0 {
+                continue;
+            }
+            let g_row = &g[(b * lo + li / s) * c..][..c];
+            let w_row = &wt[j * c..][..c];
+            for ((d, &gv), &wv) in d_row.iter_mut().zip(g_row).zip(w_row) {
+                *d += gv * wv;
             }
         }
     }
 }
 
-fn dw_bwd_dx_rows(
-    w: &[f32],
-    g: &[f32],
-    c: usize,
-    l: usize,
-    kw: usize,
-    rows: Range<usize>,
-) -> Vec<f32> {
-    let mut dx = vec![0.0f32; rows.len() * l];
-    dw_bwd_dx_rows_into(w, g, c, l, kw, rows, &mut dx);
-    dx
-}
-
-/// Depthwise backward, weight half: `dw[ci, :]` for channels in the range,
-/// accumulated in the original `(b, li, j)` order restricted to each `ci`.
-#[allow(clippy::too_many_arguments)]
-fn dw_bwd_dw_channels_into(
+/// Channels-last depthwise weight gradient for the channel block `cs`: the
+/// rows `dw[cs, :]` of the `[C, Kw]` gradient.
+///
+/// Accumulates tap-major (`[Kw, |cs|]`, contiguous over channels), then
+/// transposes into place. Each `dw[c, j]` sums `g·x` over `(b, q)`
+/// ascending — the historical `(b, li)` order with the strided-out,
+/// zero-gradient positions dropped, which (as in [`dw_cl_dx_rows_into`])
+/// keeps every bit.
+fn dw_cl_dw_channels_into(
     x: &[f32],
     g: &[f32],
-    bsz: usize,
-    c: usize,
-    l: usize,
-    kw: usize,
-    cis: Range<usize>,
+    geom: DwConv1dGeom,
+    cs: Range<usize>,
     dw: &mut [f32],
 ) {
-    let pad = kw / 2;
-    dw.fill(0.0);
-    for (local, ci) in cis.enumerate() {
-        for b in 0..bsz {
-            let base = (b * c + ci) * l;
-            let g_row = &g[base..base + l];
-            let x_row = &x[base..base + l];
-            // Tap-outer form: `dw[j]` is the dot of `g` with `x` shifted by
-            // `j - pad`. Each tap's terms run over ascending `li` — exactly
-            // the order the per-element original fed `dw[j]` — and the
-            // `(b, li)` outer order is preserved by accumulating per batch.
-            // The historical `g[li] == 0` skip is dropped on the same
-            // finite-weight grounds as `dw_bwd_dx_rows_into`: `0·x` terms
-            // cannot move a running sum at the bit level.
-            for (j, dwj) in dw[local * kw..(local + 1) * kw].iter_mut().enumerate() {
-                let (gs, xs) = if j >= pad {
-                    let off = j - pad; // pairs g_row[li] with x_row[li + off]
-                    if off >= l {
-                        continue;
-                    }
-                    (&g_row[..l - off], &x_row[off..])
-                } else {
-                    let off = pad - j;
-                    if off >= l {
-                        continue;
-                    }
-                    (&g_row[off..], &x_row[..l - off])
-                };
-                let mut acc = *dwj;
-                for (&gv, &xv) in gs.iter().zip(xs.iter()) {
-                    acc += gv * xv;
+    let (c, lo, pad, kw, nc) = (
+        geom.channels,
+        geom.out_len(),
+        geom.kernel / 2,
+        geom.kernel,
+        cs.len(),
+    );
+    let mut acc = Storage::zeroed(kw * nc);
+    for b in 0..geom.batch {
+        for q in 0..lo {
+            let li = q * geom.stride;
+            let g_row = &g[(b * lo + q) * c + cs.start..][..nc];
+            for j in geom.taps(li) {
+                let x_row = &x[(b * geom.len + li + j - pad) * c + cs.start..][..nc];
+                for ((a, &gv), &xv) in acc[j * nc..][..nc].iter_mut().zip(g_row).zip(x_row) {
+                    *a += gv * xv;
                 }
-                *dwj = acc;
             }
         }
     }
-}
-
-fn dw_bwd_dw_channels(
-    x: &[f32],
-    g: &[f32],
-    bsz: usize,
-    c: usize,
-    l: usize,
-    kw: usize,
-    cis: Range<usize>,
-) -> Vec<f32> {
-    let mut dw = vec![0.0f32; cis.len() * kw];
-    dw_bwd_dw_channels_into(x, g, bsz, c, l, kw, cis, &mut dw);
-    dw
+    for (local, d_row) in dw.chunks_exact_mut(kw).enumerate() {
+        for (j, d) in d_row.iter_mut().enumerate() {
+            *d = acc[j * nc + local];
+        }
+    }
 }
 
 /// `[B, C, L] → [B·L, C]` for whole batches (contiguous output spans).
@@ -1058,12 +881,6 @@ fn to_cl_batches_into(x: &[f32], c: usize, l: usize, batches: Range<usize>, out:
     }
 }
 
-fn to_cl_batches(x: &[f32], c: usize, l: usize, batches: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; batches.len() * l * c];
-    to_cl_batches_into(x, c, l, batches, &mut out);
-    out
-}
-
 /// `[B·L, C] → [B, C, L]` for whole batches (contiguous output spans).
 fn from_cl_batches_into(x: &[f32], c: usize, l: usize, batches: Range<usize>, out: &mut [f32]) {
     for (local, b) in batches.enumerate() {
@@ -1075,35 +892,12 @@ fn from_cl_batches_into(x: &[f32], c: usize, l: usize, batches: Range<usize>, ou
     }
 }
 
-fn from_cl_batches(x: &[f32], c: usize, l: usize, batches: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; batches.len() * c * l];
-    from_cl_batches_into(x, c, l, batches, &mut out);
-    out
-}
-
-/// Runs chunk closures on the pool and splices their spans, in chunk order,
-/// into one arena-allocated [`Storage`].
-fn run_concat_storage<F>(n_chunks: usize, total_len: usize, work: F) -> Storage
-where
-    F: Fn(usize) -> Vec<f32> + Send + Sync + 'static,
-{
-    let parts = pool::run(n_chunks, work);
-    let mut out = Storage::uninit(total_len);
-    let mut off = 0;
-    for p in parts {
-        out[off..off + p.len()].copy_from_slice(&p);
-        off += p.len();
-    }
-    debug_assert_eq!(off, total_len, "kernel chunks must cover the output");
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Scalar reference implementation.
 // ---------------------------------------------------------------------------
 
-/// Single-thread reference implementation (the original loop nests), writing
-/// directly into arena-allocated output buffers.
+/// Single-thread reference implementation: each op's row-range loop nest
+/// over the whole output, written directly into an arena-allocated buffer.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScalarKernels;
 
@@ -1220,48 +1014,25 @@ impl Kernels for ScalarKernels {
         (dx, dw, db)
     }
 
-    fn dw_conv1d_fwd(
-        &self,
-        x: &Data,
-        w: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
-    ) -> Storage {
-        let mut out = Storage::uninit(bsz * c * l);
-        dw_fwd_rows_into(x, w, c, l, kw, false, 0..bsz * c, &mut out);
+    fn dw_conv1d_cl_fwd(&self, x: &Data, w: &Data, geom: DwConv1dGeom, relu: bool) -> Storage {
+        let wt = transposed(w, geom.channels, geom.kernel);
+        let mut out = Storage::uninit(geom.out_rows() * geom.channels);
+        dw_cl_fwd_rows_into(x, &wt, geom, relu, 0..geom.out_rows(), &mut out);
         out
     }
 
-    fn dw_conv1d_relu_fwd(
-        &self,
-        x: &Data,
-        w: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
-    ) -> Storage {
-        let mut out = Storage::uninit(bsz * c * l);
-        dw_fwd_rows_into(x, w, c, l, kw, true, 0..bsz * c, &mut out);
-        out
-    }
-
-    fn dw_conv1d_bwd(
+    fn dw_conv1d_cl_bwd(
         &self,
         x: &Data,
         w: &Data,
         g: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
+        geom: DwConv1dGeom,
     ) -> (Storage, Storage) {
-        let mut dx = Storage::uninit(bsz * c * l);
-        dw_bwd_dx_rows_into(w, g, c, l, kw, 0..bsz * c, &mut dx);
-        let mut dw = Storage::uninit(c * kw);
-        dw_bwd_dw_channels_into(x, g, bsz, c, l, kw, 0..c, &mut dw);
+        let wt = transposed(w, geom.channels, geom.kernel);
+        let mut dx = Storage::uninit(geom.in_rows() * geom.channels);
+        dw_cl_dx_rows_into(g, &wt, geom, 0..geom.in_rows(), &mut dx);
+        let mut dw = Storage::uninit(geom.channels * geom.kernel);
+        dw_cl_dw_channels_into(x, g, geom, 0..geom.channels, &mut dw);
         (dx, dw)
     }
 
@@ -1286,16 +1057,39 @@ impl Kernels for ScalarKernels {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ParallelKernels;
 
-/// Splits `rows` output rows of `row_work` work units each into chunk
-/// ranges of roughly [`GRAIN`] work, independent of the thread count.
-fn row_chunks(rows: usize, row_work: usize) -> (usize, usize) {
-    let per_chunk = (GRAIN / row_work.max(1)).max(1);
-    (rows.div_ceil(per_chunk), per_chunk)
+/// Output rows per chunk for rows of `row_work` work units each: roughly
+/// [`GRAIN`] work per chunk, independent of the thread count.
+fn rows_per_chunk(row_work: usize) -> usize {
+    (GRAIN / row_work.max(1)).max(1)
 }
 
 /// Whether a kernel of `total_work` units should dispatch in parallel.
 fn parallel_worthwhile(total_work: usize) -> bool {
     total_work >= PAR_MIN_WORK && pool::threads() > 1
+}
+
+/// Computes `rows` output rows of `row_len` elements on the pool,
+/// `per_chunk` rows per job: each job runs `fill(row_range, out)` — an
+/// op's row-range `*_into` loop nest — into its own buffer, and the parts
+/// are spliced in row order into one arena-allocated [`Storage`].
+fn par_rows<F>(rows: usize, row_len: usize, per_chunk: usize, fill: F) -> Storage
+where
+    F: Fn(Range<usize>, &mut [f32]) + Send + Sync + 'static,
+{
+    let parts = pool::run(rows.div_ceil(per_chunk), move |i| {
+        let range = i * per_chunk..((i + 1) * per_chunk).min(rows);
+        let mut part = vec![0.0f32; range.len() * row_len];
+        fill(range, &mut part);
+        part
+    });
+    let mut out = Storage::uninit(rows * row_len);
+    let mut off = 0;
+    for p in parts {
+        out[off..off + p.len()].copy_from_slice(&p);
+        off += p.len();
+    }
+    debug_assert_eq!(off, rows * row_len, "kernel chunks must cover the output");
+    out
 }
 
 impl Kernels for ParallelKernels {
@@ -1304,11 +1098,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.matmul(a, b, m, k, n);
         }
         let _span = dance_telemetry::hot_span!("backend.matmul");
-        let (n_chunks, per_chunk) = row_chunks(m, k * n);
         let (a, b) = (a.clone(), b.clone());
-        run_concat_storage(n_chunks, m * n, move |i| {
-            let rows = i * per_chunk..((i + 1) * per_chunk).min(m);
-            matmul_rows(&a, &b, k, n, rows)
+        par_rows(m, n, rows_per_chunk(k * n), move |rows, out| {
+            matmul_rows_into(&a, &b, k, n, rows, out);
         })
     }
 
@@ -1317,11 +1109,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.matmul_bt(g, w, m, n, kdim);
         }
         let _span = dance_telemetry::hot_span!("backend.matmul_bt");
-        let (n_chunks, per_chunk) = row_chunks(m, n * kdim);
         let (g, wt) = (g.clone(), Arc::new(transposed(w, kdim, n)));
-        run_concat_storage(n_chunks, m * kdim, move |i| {
-            let rows = i * per_chunk..((i + 1) * per_chunk).min(m);
-            matmul_rows(&g, &wt, n, kdim, rows)
+        par_rows(m, kdim, rows_per_chunk(n * kdim), move |rows, out| {
+            matmul_rows_into(&g, &wt, n, kdim, rows, out);
         })
     }
 
@@ -1330,11 +1120,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.matmul_at(x, g, m, kdim, n);
         }
         let _span = dance_telemetry::hot_span!("backend.matmul_at");
-        let (n_chunks, per_chunk) = row_chunks(kdim, m * n);
         let (x, g) = (x.clone(), g.clone());
-        run_concat_storage(n_chunks, kdim * n, move |i| {
-            let rows = i * per_chunk..((i + 1) * per_chunk).min(kdim);
-            matmul_at_rows(&x, &g, m, kdim, n, rows)
+        par_rows(kdim, n, rows_per_chunk(m * n), move |rows, out| {
+            matmul_at_rows_into(&x, &g, m, kdim, n, rows, out);
         })
     }
 
@@ -1343,11 +1131,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.transpose(a, m, n);
         }
         let _span = dance_telemetry::hot_span!("backend.transpose");
-        let (n_chunks, per_chunk) = row_chunks(n, m);
         let a = a.clone();
-        run_concat_storage(n_chunks, m * n, move |i| {
-            let cols = i * per_chunk..((i + 1) * per_chunk).min(n);
-            transpose_cols(&a, m, n, cols)
+        par_rows(n, m, rows_per_chunk(m), move |cols, out| {
+            transpose_cols_into(&a, m, n, cols, out);
         })
     }
 
@@ -1357,11 +1143,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.unary(a, op);
         }
         let _span = dance_telemetry::hot_span!("backend.unary");
-        let (n_chunks, per_chunk) = row_chunks(len, 1);
         let a = a.clone();
-        run_concat_storage(n_chunks, len, move |i| {
-            let range = i * per_chunk..((i + 1) * per_chunk).min(len);
-            unary_range(&a, op, range)
+        par_rows(len, 1, rows_per_chunk(1), move |range, out| {
+            unary_range_into(&a, op, range, out);
         })
     }
 
@@ -1371,11 +1155,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.binary(a, b, op);
         }
         let _span = dance_telemetry::hot_span!("backend.binary");
-        let (n_chunks, per_chunk) = row_chunks(len, 1);
         let (a, b) = (a.clone(), b.clone());
-        run_concat_storage(n_chunks, len, move |i| {
-            let range = i * per_chunk..((i + 1) * per_chunk).min(len);
-            binary_range(&a, &b, op, range)
+        par_rows(len, 1, rows_per_chunk(1), move |range, out| {
+            binary_range_into(&a, &b, op, range, out);
         })
     }
 
@@ -1399,11 +1181,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.sum_rows(a, m, n);
         }
         let _span = dance_telemetry::hot_span!("backend.sum_rows");
-        let (n_chunks, per_chunk) = row_chunks(n, m);
         let a = a.clone();
-        run_concat_storage(n_chunks, n, move |i| {
-            let cols = i * per_chunk..((i + 1) * per_chunk).min(n);
-            sum_rows_cols(&a, m, n, cols)
+        par_rows(n, 1, rows_per_chunk(m), move |cols, out| {
+            sum_rows_cols_into(&a, m, n, cols, out);
         })
     }
 
@@ -1412,11 +1192,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.softmax_rows(a, m, n);
         }
         let _span = dance_telemetry::hot_span!("backend.softmax_rows");
-        let (n_chunks, per_chunk) = row_chunks(m, n);
         let a = a.clone();
-        run_concat_storage(n_chunks, m * n, move |i| {
-            let rows = i * per_chunk..((i + 1) * per_chunk).min(m);
-            softmax_rows_range(&a, n, rows)
+        par_rows(m, n, rows_per_chunk(n), move |rows, out| {
+            softmax_rows_range_into(&a, n, rows, out);
         })
     }
 
@@ -1425,11 +1203,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.add_row_broadcast(x, bias, m, n);
         }
         let _span = dance_telemetry::hot_span!("backend.add_row_broadcast");
-        let (n_chunks, per_chunk) = row_chunks(m, n);
         let (x, bias) = (x.clone(), bias.clone());
-        run_concat_storage(n_chunks, m * n, move |i| {
-            let rows = i * per_chunk..((i + 1) * per_chunk).min(m);
-            add_row_broadcast_rows(&x, &bias, n, rows)
+        par_rows(m, n, rows_per_chunk(n), move |rows, out| {
+            add_row_broadcast_rows_into(&x, &bias, n, rows, out);
         })
     }
 
@@ -1438,11 +1214,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.mul_row_broadcast(x, scale, m, n);
         }
         let _span = dance_telemetry::hot_span!("backend.mul_row_broadcast");
-        let (n_chunks, per_chunk) = row_chunks(m, n);
         let (x, scale) = (x.clone(), scale.clone());
-        run_concat_storage(n_chunks, m * n, move |i| {
-            let rows = i * per_chunk..((i + 1) * per_chunk).min(m);
-            mul_row_broadcast_rows(&x, &scale, n, rows)
+        par_rows(m, n, rows_per_chunk(n), move |rows, out| {
+            mul_row_broadcast_rows_into(&x, &scale, n, rows, out);
         })
     }
 
@@ -1460,11 +1234,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.linear(x, w, bias, m, k, n, relu);
         }
         let _span = dance_telemetry::hot_span!("backend.linear");
-        let (n_chunks, per_chunk) = row_chunks(m, k * n);
         let (x, w, bias) = (x.clone(), w.clone(), bias.clone());
-        run_concat_storage(n_chunks, m * n, move |i| {
-            let rows = i * per_chunk..((i + 1) * per_chunk).min(m);
-            linear_rows(&x, &w, &bias, k, n, relu, rows)
+        par_rows(m, n, rows_per_chunk(k * n), move |rows, out| {
+            linear_rows_into(&x, &w, &bias, k, n, relu, rows, out);
         })
     }
 
@@ -1483,11 +1255,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.pw_conv1d_fwd(x, w, bias, bsz, c, l, k);
         }
         let _span = dance_telemetry::hot_span!("backend.pw_conv1d_fwd");
-        let (n_chunks, per_chunk) = row_chunks(rows, c * l);
         let (x, w, bias) = (x.clone(), w.clone(), bias.clone());
-        run_concat_storage(n_chunks, rows * l, move |i| {
-            let r = i * per_chunk..((i + 1) * per_chunk).min(rows);
-            pw_fwd_rows(&x, &w, &bias, c, l, k, r)
+        par_rows(rows, l, rows_per_chunk(c * l), move |r, out| {
+            pw_fwd_rows_into(&x, &w, &bias, c, l, k, r, out);
         })
     }
 
@@ -1506,11 +1276,14 @@ impl Kernels for ParallelKernels {
         }
         let _span = dance_telemetry::hot_span!("backend.pw_conv1d_bwd");
         // Weight/bias half: partition over output channels.
-        let (ko_chunks, ko_per) = row_chunks(k, bsz * c * l);
+        let ko_per = rows_per_chunk(bsz * c * l);
         let (xc, gc) = (x.clone(), g.clone());
-        let wdb = pool::run(ko_chunks, move |i| {
+        let wdb = pool::run(k.div_ceil(ko_per), move |i| {
             let kos = i * ko_per..((i + 1) * ko_per).min(k);
-            pw_bwd_dwdb_kos(&xc, &gc, bsz, c, l, k, kos)
+            let mut dw = vec![0.0f32; kos.len() * c];
+            let mut db = vec![0.0f32; kos.len()];
+            pw_bwd_dwdb_kos_into(&xc, &gc, bsz, c, l, k, kos, &mut dw, &mut db);
+            (dw, db)
         });
         let mut dw = Storage::uninit(k * c);
         let mut db = Storage::uninit(k);
@@ -1522,87 +1295,57 @@ impl Kernels for ParallelKernels {
             db_off += db_part.len();
         }
         // Input half: partition over batches.
-        let (b_chunks, b_per) = row_chunks(bsz, k * c * l);
         let (wc, gc) = (w.clone(), g.clone());
-        let dx = run_concat_storage(b_chunks, bsz * c * l, move |i| {
-            let bs = i * b_per..((i + 1) * b_per).min(bsz);
-            pw_bwd_dx_batches(&wc, &gc, c, l, k, bs)
+        let dx = par_rows(bsz, c * l, rows_per_chunk(k * c * l), move |bs, out| {
+            pw_bwd_dx_batches_into(&wc, &gc, c, l, k, bs, out);
         });
         (dx, dw, db)
     }
 
-    fn dw_conv1d_fwd(
-        &self,
-        x: &Data,
-        w: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
-    ) -> Storage {
-        let rows = bsz * c;
-        if !parallel_worthwhile(rows * l * kw) {
-            return ScalarKernels.dw_conv1d_fwd(x, w, bsz, c, l, kw);
+    fn dw_conv1d_cl_fwd(&self, x: &Data, w: &Data, geom: DwConv1dGeom, relu: bool) -> Storage {
+        let (c, kw) = (geom.channels, geom.kernel);
+        if !parallel_worthwhile(geom.out_rows() * c * kw) {
+            return ScalarKernels.dw_conv1d_cl_fwd(x, w, geom, relu);
         }
-        let _span = dance_telemetry::hot_span!("backend.dw_conv1d_fwd");
-        let (n_chunks, per_chunk) = row_chunks(rows, l * kw);
-        let (x, w) = (x.clone(), w.clone());
-        run_concat_storage(n_chunks, rows * l, move |i| {
-            let r = i * per_chunk..((i + 1) * per_chunk).min(rows);
-            dw_fwd_rows(&x, &w, c, l, kw, false, r)
-        })
+        let _span = dance_telemetry::hot_span!("backend.dw_conv1d_cl_fwd");
+        let (x, wt) = (x.clone(), Arc::new(transposed(w, c, kw)));
+        par_rows(
+            geom.out_rows(),
+            c,
+            rows_per_chunk(c * kw),
+            move |rows, out| {
+                dw_cl_fwd_rows_into(&x, &wt, geom, relu, rows, out);
+            },
+        )
     }
 
-    fn dw_conv1d_relu_fwd(
-        &self,
-        x: &Data,
-        w: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
-    ) -> Storage {
-        let rows = bsz * c;
-        if !parallel_worthwhile(rows * l * kw) {
-            return ScalarKernels.dw_conv1d_relu_fwd(x, w, bsz, c, l, kw);
-        }
-        let _span = dance_telemetry::hot_span!("backend.dw_conv1d_relu_fwd");
-        let (n_chunks, per_chunk) = row_chunks(rows, l * kw);
-        let (x, w) = (x.clone(), w.clone());
-        run_concat_storage(n_chunks, rows * l, move |i| {
-            let r = i * per_chunk..((i + 1) * per_chunk).min(rows);
-            dw_fwd_rows(&x, &w, c, l, kw, true, r)
-        })
-    }
-
-    fn dw_conv1d_bwd(
+    fn dw_conv1d_cl_bwd(
         &self,
         x: &Data,
         w: &Data,
         g: &Data,
-        bsz: usize,
-        c: usize,
-        l: usize,
-        kw: usize,
+        geom: DwConv1dGeom,
     ) -> (Storage, Storage) {
-        let rows = bsz * c;
-        if !parallel_worthwhile(rows * l * kw) {
-            return ScalarKernels.dw_conv1d_bwd(x, w, g, bsz, c, l, kw);
+        let (c, kw) = (geom.channels, geom.kernel);
+        if !parallel_worthwhile(geom.in_rows() * c * kw) {
+            return ScalarKernels.dw_conv1d_cl_bwd(x, w, g, geom);
         }
-        let _span = dance_telemetry::hot_span!("backend.dw_conv1d_bwd");
-        // Input half: partition over (batch, channel) rows.
-        let (r_chunks, r_per) = row_chunks(rows, l * kw);
-        let (wc, gc) = (w.clone(), g.clone());
-        let dx = run_concat_storage(r_chunks, rows * l, move |i| {
-            let r = i * r_per..((i + 1) * r_per).min(rows);
-            dw_bwd_dx_rows(&wc, &gc, c, l, kw, r)
-        });
-        // Weight half: partition over channels.
-        let (c_chunks, c_per) = row_chunks(c, bsz * l * kw);
+        let _span = dance_telemetry::hot_span!("backend.dw_conv1d_cl_bwd");
+        // Input half: partition over input rows.
+        let (gc, wt) = (g.clone(), Arc::new(transposed(w, c, kw)));
+        let dx = par_rows(
+            geom.in_rows(),
+            c,
+            rows_per_chunk(c * kw),
+            move |rows, out| {
+                dw_cl_dx_rows_into(&gc, &wt, geom, rows, out);
+            },
+        );
+        // Weight half: partition over channel blocks.
+        let per = rows_per_chunk(geom.out_rows() * kw).max(DW_CHANNEL_BLOCK);
         let (xc, gc) = (x.clone(), g.clone());
-        let dw = run_concat_storage(c_chunks, c * kw, move |i| {
-            let cis = i * c_per..((i + 1) * c_per).min(c);
-            dw_bwd_dw_channels(&xc, &gc, bsz, c, l, kw, cis)
+        let dw = par_rows(c, kw, per, move |cs, out| {
+            dw_cl_dw_channels_into(&xc, &gc, geom, cs, out);
         });
         (dx, dw)
     }
@@ -1612,11 +1355,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.to_channels_last(x, bsz, c, l);
         }
         let _span = dance_telemetry::hot_span!("backend.to_channels_last");
-        let (n_chunks, per_chunk) = row_chunks(bsz, c * l);
         let x = x.clone();
-        run_concat_storage(n_chunks, bsz * c * l, move |i| {
-            let bs = i * per_chunk..((i + 1) * per_chunk).min(bsz);
-            to_cl_batches(&x, c, l, bs)
+        par_rows(bsz, c * l, rows_per_chunk(c * l), move |bs, out| {
+            to_cl_batches_into(&x, c, l, bs, out);
         })
     }
 
@@ -1625,11 +1366,9 @@ impl Kernels for ParallelKernels {
             return ScalarKernels.from_channels_last(x, bsz, c, l);
         }
         let _span = dance_telemetry::hot_span!("backend.from_channels_last");
-        let (n_chunks, per_chunk) = row_chunks(bsz, c * l);
         let x = x.clone();
-        run_concat_storage(n_chunks, bsz * c * l, move |i| {
-            let bs = i * per_chunk..((i + 1) * per_chunk).min(bsz);
-            from_cl_batches(&x, c, l, bs)
+        par_rows(bsz, c * l, rows_per_chunk(c * l), move |bs, out| {
+            from_cl_batches_into(&x, c, l, bs, out);
         })
     }
 }

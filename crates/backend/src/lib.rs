@@ -27,7 +27,9 @@ pub mod kernels;
 pub mod pool;
 pub mod storage;
 
-pub use kernels::{kernels, BinaryOp, Data, Kernels, ParallelKernels, ScalarKernels, UnaryOp};
+pub use kernels::{
+    kernels, BinaryOp, Data, DwConv1dGeom, Kernels, ParallelKernels, ScalarKernels, UnaryOp,
+};
 pub use pool::{run, run_concat, set_threads, threads};
 pub use storage::{arena_enabled, set_arena_enabled, Storage};
 

@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use dance_backend::{BinaryOp, Data, Kernels, ParallelKernels, ScalarKernels, Storage, UnaryOp};
+use dance_backend::{
+    BinaryOp, Data, DwConv1dGeom, Kernels, ParallelKernels, ScalarKernels, Storage, UnaryOp,
+};
 use proptest::prelude::*;
 
 const SCALAR: ScalarKernels = ScalarKernels;
@@ -214,27 +216,22 @@ proptest! {
         prop_assert_eq!(sdb, pdb);
     }
 
+    /// The channels-last depthwise kernel against the channels-first
+    /// oracle under permutation, at sizes straddling the parallel
+    /// threshold (up to 40·40·40·7 work).
     #[test]
-    fn prop_dw_conv1d_parallel_equals_scalar(
-        bsz in 1usize..6,
-        c in 4usize..32,
-        l in 16usize..128,
+    fn prop_dw_conv1d_cl_matches_channels_first_oracle(
+        bsz in 1usize..40,
+        c in 1usize..40,
+        l in 1usize..40,
         kw_idx in 0usize..3,
+        stride in 1usize..3,
+        relu_sel in 0usize..2,
         seed in 0u64..1000,
     ) {
         force_parallel_pool();
-        let kw = [3, 5, 7][kw_idx];
-        let x = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dw-x-{seed}"))));
-        let w = data(values(c * kw).sample_value(&mut proptest::test_rng(&format!("dw-w-{seed}"))));
-        let g = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dw-g-{seed}"))));
-        prop_assert_eq!(
-            SCALAR.dw_conv1d_fwd(&x, &w, bsz, c, l, kw),
-            PARALLEL.dw_conv1d_fwd(&x, &w, bsz, c, l, kw)
-        );
-        let (sdx, sdw) = SCALAR.dw_conv1d_bwd(&x, &w, &g, bsz, c, l, kw);
-        let (pdx, pdw) = PARALLEL.dw_conv1d_bwd(&x, &w, &g, bsz, c, l, kw);
-        prop_assert_eq!(sdx, pdx);
-        prop_assert_eq!(sdw, pdw);
+        let geom = DwConv1dGeom { batch: bsz, channels: c, len: l, kernel: [3, 5, 7][kw_idx], stride };
+        check_dw_against_oracle(geom, relu_sel == 1, &format!("dwp-{seed}"));
     }
 
     #[test]
@@ -304,28 +301,16 @@ proptest! {
         prop_assert_eq!(PARALLEL.linear(&x, &w, &bias, m, k, n, relu), expect);
     }
 
-    /// Fused depthwise-conv + ReLU is bit-identical to conv → relu, and
     /// `dot` matches sum-of-products at every length (both sides of the
     /// SUM_CHUNK blocking boundary).
     #[test]
-    fn prop_dw_relu_and_dot_fusions_equal_composed(
-        bsz in 1usize..5,
-        c in 4usize..24,
-        l in 16usize..96,
-        kw_idx in 0usize..3,
+    fn prop_dot_fusion_equals_composed(
+        len in 1usize..140_000,
         seed in 0u64..1000,
     ) {
         force_parallel_pool();
-        let kw = [3, 5, 7][kw_idx];
-        let x = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dr-x-{seed}"))));
-        let w = data(values(c * kw).sample_value(&mut proptest::test_rng(&format!("dr-w-{seed}"))));
-        let conv = Arc::new(SCALAR.dw_conv1d_fwd(&x, &w, bsz, c, l, kw));
-        let expect = SCALAR.unary(&conv, UnaryOp::Relu);
-        prop_assert_eq!(SCALAR.dw_conv1d_relu_fwd(&x, &w, bsz, c, l, kw), expect.clone());
-        prop_assert_eq!(PARALLEL.dw_conv1d_relu_fwd(&x, &w, bsz, c, l, kw), expect);
-
-        let a = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dot-a-{seed}"))));
-        let b = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dot-b-{seed}"))));
+        let a = data(values(len).sample_value(&mut proptest::test_rng(&format!("dot-a-{seed}"))));
+        let b = data(values(len).sample_value(&mut proptest::test_rng(&format!("dot-b-{seed}"))));
         let prod = Arc::new(SCALAR.binary(&a, &b, BinaryOp::Mul));
         prop_assert_eq!(SCALAR.dot(&a, &b).to_bits(), SCALAR.sum(&prod).to_bits());
         prop_assert_eq!(PARALLEL.dot(&a, &b).to_bits(), SCALAR.sum(&prod).to_bits());
@@ -382,5 +367,209 @@ fn matmul_bt_evaluator_shapes_are_bit_identical() {
             composed,
             "parallel {tag}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Depthwise convolution: the channels-first oracle.
+// ---------------------------------------------------------------------------
+
+/// The historical channels-first depthwise forward over `[B, C, L]` at
+/// stride 1 (tap-outer shifted multiply-adds, ReLU on the finished sum):
+/// the loop nest the channels-last kernel replaced, kept as its oracle.
+fn cf_dw_fwd(x: &[f32], w: &[f32], c: usize, l: usize, kw: usize, relu: bool) -> Vec<f32> {
+    let pad = kw / 2;
+    let mut out = vec![0.0f32; x.len()];
+    for (r, o_row) in out.chunks_exact_mut(l).enumerate() {
+        let x_row = &x[r * l..(r + 1) * l];
+        for (j, &wv) in w[(r % c) * kw..][..kw].iter().enumerate() {
+            let (o_part, x_part) = if j >= pad {
+                let off = j - pad;
+                if off >= l {
+                    continue;
+                }
+                (&mut o_row[..l - off], &x_row[off..])
+            } else {
+                let off = pad - j;
+                if off >= l {
+                    continue;
+                }
+                (&mut o_row[off..], &x_row[..l - off])
+            };
+            for (o, &xv) in o_part.iter_mut().zip(x_part) {
+                *o += wv * xv;
+            }
+        }
+        if relu {
+            for o in o_row.iter_mut() {
+                *o = o.max(0.0);
+            }
+        }
+    }
+    out
+}
+
+/// The historical channels-first depthwise backward over full-length
+/// `[B, C, L]` gradients: `dx` scattered tap by tap in descending tap
+/// order, `dw[c, j]` accumulated over `(b, li)` ascending.
+fn cf_dw_bwd(
+    x: &[f32],
+    w: &[f32],
+    g: &[f32],
+    c: usize,
+    l: usize,
+    kw: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let pad = kw / 2;
+    let mut dx = vec![0.0f32; x.len()];
+    let mut dw = vec![0.0f32; c * kw];
+    for (r, d_row) in dx.chunks_exact_mut(l).enumerate() {
+        let ci = r % c;
+        let (g_row, x_row) = (&g[r * l..(r + 1) * l], &x[r * l..(r + 1) * l]);
+        for j in (0..kw).rev() {
+            let wv = w[ci * kw + j];
+            let (d_part, g_part) = if j >= pad {
+                let off = j - pad;
+                if off >= l {
+                    continue;
+                }
+                (&mut d_row[off..], &g_row[..l - off])
+            } else {
+                let off = pad - j;
+                if off >= l {
+                    continue;
+                }
+                (&mut d_row[..l - off], &g_row[off..])
+            };
+            for (d, &gv) in d_part.iter_mut().zip(g_part) {
+                *d += gv * wv;
+            }
+        }
+        // Rows run in `(b, ci)` order, so each `dw[ci, j]` still sees its
+        // batches in ascending order.
+        for j in 0..kw {
+            let (gs, xs) = if j >= pad {
+                let off = j - pad;
+                if off >= l {
+                    continue;
+                }
+                (&g_row[..l - off], &x_row[off..])
+            } else {
+                let off = pad - j;
+                if off >= l {
+                    continue;
+                }
+                (&g_row[off..], &x_row[..l - off])
+            };
+            let acc = &mut dw[ci * kw + j];
+            for (&gv, &xv) in gs.iter().zip(xs) {
+                *acc += gv * xv;
+            }
+        }
+    }
+    (dx, dw)
+}
+
+/// `[B, C, L] → [B·L, C]`.
+fn to_cl(x: &[f32], bsz: usize, c: usize, l: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; x.len()];
+    for b in 0..bsz {
+        for ci in 0..c {
+            for li in 0..l {
+                out[(b * l + li) * c + ci] = x[(b * c + ci) * l + li];
+            }
+        }
+    }
+    out
+}
+
+/// `[B·L, C] → [B, C, L]`.
+fn from_cl(x: &[f32], bsz: usize, c: usize, l: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; x.len()];
+    for b in 0..bsz {
+        for ci in 0..c {
+            for li in 0..l {
+                out[(b * c + ci) * l + li] = x[(b * l + li) * c + ci];
+            }
+        }
+    }
+    out
+}
+
+/// Runs the channels-last kernel (scalar, parallel and the plan's `_into`
+/// form) against the oracle: full-length channels-first conv (+ReLU),
+/// then a stride-`s` subsample, permuted to channels-last; backward from a
+/// kept-output gradient zero-scattered to full length. All `to_bits`.
+fn check_dw_against_oracle(geom: DwConv1dGeom, relu: bool, tag: &str) {
+    let DwConv1dGeom {
+        batch: bsz,
+        channels: c,
+        len: l,
+        kernel: kw,
+        stride,
+    } = geom;
+    let lo = geom.out_len();
+    let sample = |n: usize, what: &str| {
+        values(n).sample_value(&mut proptest::test_rng(&format!("{tag}-{what}")))
+    };
+    let x_cf = sample(bsz * c * l, "x");
+    let w = sample(c * kw, "w");
+    let g_cl = sample(bsz * lo * c, "g");
+
+    let full = cf_dw_fwd(&x_cf, &w, c, l, kw, relu);
+    let mut kept = vec![0.0f32; bsz * c * lo];
+    let mut g_full = vec![0.0f32; bsz * c * l];
+    let g_cf = from_cl(&g_cl, bsz, c, lo);
+    for r in 0..bsz * c {
+        for q in 0..lo {
+            kept[r * lo + q] = full[r * l + q * stride];
+            g_full[r * l + q * stride] = g_cf[r * lo + q];
+        }
+    }
+    let want_y = bits(&to_cl(&kept, bsz, c, lo));
+    let (dx_cf, want_dw) = cf_dw_bwd(&x_cf, &w, &g_full, c, l, kw);
+    let want_dx = bits(&to_cl(&dx_cf, bsz, c, l));
+    let want_dw = bits(&want_dw);
+
+    let (x, w, g) = (data(to_cl(&x_cf, bsz, c, l)), data(w), data(g_cl));
+    let ctx = format!("{geom:?} relu {relu}");
+    for (name, k) in [("scalar", &SCALAR as &dyn Kernels), ("parallel", &PARALLEL)] {
+        assert_eq!(
+            bits(&k.dw_conv1d_cl_fwd(&x, &w, geom, relu)),
+            want_y,
+            "{name} fwd {ctx}"
+        );
+        let (dx, dw) = k.dw_conv1d_cl_bwd(&x, &w, &g, geom);
+        assert_eq!(bits(&dx), want_dx, "{name} dx {ctx}");
+        assert_eq!(bits(&dw), want_dw, "{name} dw {ctx}");
+    }
+    let wt = SCALAR.transpose(&w, c, kw);
+    let mut out = vec![f32::NAN; bsz * lo * c];
+    PARALLEL.dw_conv1d_cl_fwd_into(&x, &wt, geom, relu, &mut out);
+    assert_eq!(bits(&out), want_y, "fwd_into {ctx}");
+}
+
+/// Every kernel width and stride the supernet uses, at lengths shorter
+/// than, equal to and longer than the padding (L = 1, 2, 3, 16), with and
+/// without the fused ReLU; batch 64 × 24 channels puts the L = 16 cases
+/// over the parallel threshold.
+#[test]
+fn dw_conv1d_cl_sweep_matches_channels_first_oracle() {
+    force_parallel_pool();
+    for kernel in [3, 5, 7] {
+        for stride in [1, 2] {
+            for len in [1, 2, 3, 16] {
+                for relu in [false, true] {
+                    let geom = DwConv1dGeom {
+                        batch: 64,
+                        channels: 24,
+                        len,
+                        kernel,
+                        stride,
+                    };
+                    check_dw_against_oracle(geom, relu, &format!("dws-{kernel}-{stride}-{len}"));
+                }
+            }
+        }
     }
 }

@@ -155,7 +155,8 @@ pub struct FleetCounts {
     pub failed: usize,
     /// Leases reclaimed after expiry.
     pub reclaims: u64,
-    /// Results discarded by fencing (stale attempt finished late).
+    /// Attempts fenced off: refused at a lease renewal mid-run, or a
+    /// stale attempt's late result discarded at commit.
     pub fenced: u64,
     /// Reclaim-to-redispatch latencies, fleet-clock milliseconds.
     pub recoveries_ms: Vec<u64>,
@@ -234,16 +235,10 @@ pub struct Fleet {
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl Fleet {
-    /// Opens (or creates) the ledger under `opts.dir` and starts the
-    /// worker and supervisor threads. Jobs recovered from a previous
-    /// incarnation come back `pending` and are re-dispatched immediately,
-    /// resuming from their checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ledger/checkpoint directory creation failures.
-    pub fn start(opts: FleetOpts) -> io::Result<Self> {
+impl Shared {
+    /// Opens (or creates) the ledger under `opts.dir`: the fleet's state,
+    /// with no thread running yet.
+    fn open(opts: &FleetOpts) -> io::Result<Arc<Self>> {
         #[allow(unused_mut)] // mut needed only with fault-injection
         let (mut store, ledger, skipped) = LedgerStore::open(&opts.dir.join("ledger"))?;
         if skipped > 0 {
@@ -260,7 +255,7 @@ impl Fleet {
         for w in 0..workers {
             health.insert(format!("fleet-w{w}"), WorkerHealth::idle());
         }
-        let shared = Arc::new(Shared {
+        Ok(Arc::new(Shared {
             core: Mutex::new(Core {
                 ledger,
                 leases: LeaseTable::new(opts.lease_ttl_ms),
@@ -278,7 +273,22 @@ impl Fleet {
             shutdown: AtomicBool::new(false),
             ckpt_root,
             chaos: opts.chaos,
-        });
+        }))
+    }
+}
+
+impl Fleet {
+    /// Opens (or creates) the ledger under `opts.dir` and starts the
+    /// worker and supervisor threads. Jobs recovered from a previous
+    /// incarnation come back `pending` and are re-dispatched immediately,
+    /// resuming from their checkpoints.
+    ///
+    /// # Errors
+    ///
+    /// Propagates ledger/checkpoint directory creation failures.
+    pub fn start(opts: FleetOpts) -> io::Result<Self> {
+        let shared = Shared::open(&opts)?;
+        let workers = opts.workers.max(1);
         let mut threads = Vec::with_capacity(workers + 1);
         for w in 0..workers {
             let s = Arc::clone(&shared);
@@ -564,9 +574,13 @@ fn execute_attempt(shared: &Shared, worker: &str, id: &str, spec: JobSpec, attem
         }
         Err(panic) => {
             let msg = panic_message(panic.as_ref());
-            if msg == FLEET_KILL || msg == FLEET_FENCED {
+            if msg == FLEET_FENCED {
+                // Fenced at renewal: the supervisor already reverted the
+                // job; the attempt is counted like a fenced result.
+                core.fenced += 1;
+                dance_telemetry::counter!("fleet.result.fenced");
+            } else if msg == FLEET_KILL {
                 // Killed: leave the lease to expire (that *is* the drill).
-                // Fenced: the supervisor already reverted the job.
             } else if core.leases.release(id, worker, attempt) {
                 if let Some(rec) = core.ledger.jobs.get_mut(id) {
                     rec.status = JobStatus::Failed { error: msg };
@@ -585,27 +599,33 @@ fn supervisor_loop(shared: &Shared) {
         }
         std::thread::sleep(Duration::from_millis(25));
         let now = shared.now_ms();
-        {
-            let mut core = shared.core();
-            let expired = core.leases.expire(now);
-            for (job, lease) in expired {
-                core.reclaims += 1;
-                dance_telemetry::counter!("fleet.lease.reclaimed");
-                if let Some(rec) = core.ledger.jobs.get_mut(&job) {
-                    if matches!(rec.status, JobStatus::Leased { .. }) {
-                        rec.status = JobStatus::Pending;
-                    }
-                }
-                core.reclaimed_at.insert(job, now);
-                if let Some(h) = core.health.get_mut(&lease.worker) {
-                    h.state = "suspect".to_string();
-                    h.job = None;
-                }
-                core.dirty = true;
-            }
-        }
+        reclaim_expired(&mut shared.core(), now);
         shared.persist();
     }
+}
+
+/// Reclaims every lease expired at `now`: the job reverts to pending (its
+/// attempt number stays bumped, so the old holder is fenced), the worker
+/// turns suspect. Returns the number of reclaims.
+fn reclaim_expired(core: &mut Core, now: u64) -> usize {
+    let expired = core.leases.expire(now);
+    let n = expired.len();
+    for (job, lease) in expired {
+        core.reclaims += 1;
+        dance_telemetry::counter!("fleet.lease.reclaimed");
+        if let Some(rec) = core.ledger.jobs.get_mut(&job) {
+            if matches!(rec.status, JobStatus::Leased { .. }) {
+                rec.status = JobStatus::Pending;
+            }
+        }
+        core.reclaimed_at.insert(job, now);
+        if let Some(h) = core.health.get_mut(&lease.worker) {
+            h.state = "suspect".to_string();
+            h.job = None;
+        }
+        core.dirty = true;
+    }
+    n
 }
 
 #[cfg(test)]
@@ -718,6 +738,32 @@ mod tests {
         let view = fleet.status(&id).expect("recovered job");
         assert_eq!(view.state, "done");
         assert_eq!(view.digest, Some(digest));
+        fleet.shutdown();
+        let _cleanup = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An attempt whose lease is reclaimed before its next renewal panics
+    /// out of the renewal, and that fence is counted. The test drives the
+    /// fleet itself (no worker or supervisor thread, no clock): it claims
+    /// the job, reclaims the lease as expired, then runs the attempt.
+    #[test]
+    fn fencing_at_renewal_is_counted() {
+        let dir = tmp_dir("sup_fence_renew");
+        let fleet = Fleet {
+            shared: Shared::open(&FleetOpts::new(dir.clone()).with_workers(1)).expect("open"),
+            threads: Vec::new(),
+        };
+        let (id, _) = fleet.submit(JobSpec::new(2, 16, 71, 0.1)).expect("submit");
+        let (claimed, spec, attempt) = claim_next(&fleet.shared, "fleet-w0").expect("claim");
+        assert_eq!(claimed, id);
+        assert_eq!(reclaim_expired(&mut fleet.shared.core(), u64::MAX), 1);
+        execute_attempt(&fleet.shared, "fleet-w0", &id, spec, attempt);
+        let counts = fleet.counts();
+        assert_eq!(counts.fenced, 1, "the renewal-time fence is counted");
+        assert_eq!(counts.reclaims, 1);
+        let view = fleet.status(&id).expect("status");
+        assert_eq!(view.state, "pending", "the job waits for re-dispatch");
+        assert_eq!(view.attempt, attempt);
         fleet.shutdown();
         let _cleanup = std::fs::remove_dir_all(&dir);
     }

@@ -26,7 +26,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dance_autograd::serialize::{load_tensors, save_tensors};
+use dance_autograd::serialize::{load_tensors, save_tensors, unique_temp_path};
 use dance_autograd::tensor::Tensor;
 use dance_autograd::var::Var;
 use rand::rngs::StdRng;
@@ -434,7 +434,7 @@ pub fn atomic_write_text(path: impl AsRef<Path>, contents: &str) -> io::Result<(
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let tmp = unique_temp_path(path);
     fs::write(&tmp, contents)?;
     if let Err(e) = fs::rename(&tmp, path) {
         let _cleanup = fs::remove_file(&tmp); // best effort; the error below matters more
@@ -615,6 +615,49 @@ mod tests {
         assert_eq!(
             fs::read_to_string(&path).expect("read back"),
             "{\"ok\":true}\n"
+        );
+        let _cleanup = fs::remove_dir_all(&dir);
+    }
+
+    /// Two threads writing different texts to one path, many times: every
+    /// write succeeds and the file always reads back as one writer's full
+    /// text.
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_never_mix() {
+        let dir = temp_dir("atomic_concurrent");
+        let path = dir.join("ledger.txt");
+        let texts: Vec<String> = (0..2)
+            .map(|w| format!("writer {w}\n{}\n", w.to_string().repeat(4096)))
+            .collect();
+        let barrier = std::sync::Barrier::new(texts.len());
+        // Failures are counted, not panicked on, so both writers always
+        // reach every barrier and a broken writer fails the test instead
+        // of hanging it.
+        let failures: usize = std::thread::scope(|s| {
+            let writers: Vec<_> = texts
+                .iter()
+                .map(|text| {
+                    let (path, texts, barrier) = (&path, &texts, &barrier);
+                    s.spawn(move || {
+                        (0..100)
+                            .filter(|_| {
+                                barrier.wait(); // both writers start each write together
+                                let back = atomic_write_text(path, text)
+                                    .and_then(|()| fs::read_to_string(path));
+                                !back.is_ok_and(|b| texts.contains(&b))
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .map(|w| w.join().expect("writer thread"))
+                .sum()
+        });
+        assert_eq!(
+            failures, 0,
+            "writes failed or left a file with neither writer's text"
         );
         let _cleanup = fs::remove_dir_all(&dir);
     }

@@ -96,23 +96,19 @@ impl MbConv1d {
             self.c_in
         );
         let (b, l) = (shape[0], shape[2]);
-        // ReLU commutes bit-exactly with the channels-last permutation and
-        // with stride selection, so both activations fuse into their
-        // producers: `relu(x·W + b)` as one linear_relu node and the
-        // depthwise ReLU inside the conv accumulator, ahead of the
-        // downsample. Each fused node records one tape entry (and one
-        // backward closure) where the unfused chain recorded three.
-        let expanded = x
-            .to_channels_last()
+        // The interior stays channels-last `[B·L, mid]` from the expand to
+        // the project, so the depthwise conv runs on contiguous channel rows
+        // and computes only the positions its stride keeps. ReLU commutes
+        // bit-exactly with the permutation and with stride selection, so
+        // both activations fuse into their producers: `relu(x·W + b)` as one
+        // linear_relu node and the depthwise ReLU inside the conv
+        // accumulator. The block output returns to `[B, C, L]`, the layout
+        // the mixture's weighted sum folds its α-gradient dot over.
+        x.to_channels_last()
             .linear(&self.w_expand, &self.b_expand, true)
-            .from_channels_last(b, l);
-        let conv = expanded
-            .dw_conv1d_relu(&self.w_dw)
-            .downsample1d(self.stride);
-        let lo = l.div_ceil(self.stride);
-        conv.to_channels_last()
+            .dw_conv1d_cl(&self.w_dw, b, l, self.stride, true)
             .linear(&self.w_project, &self.b_project, false)
-            .from_channels_last(b, lo)
+            .from_channels_last(b, l.div_ceil(self.stride))
     }
 
     /// Trainable parameters.

@@ -197,14 +197,7 @@ impl Supernet {
                 assert_eq!(choices.len(), self.blocks.len(), "choice slot count");
                 let shape = x.shape();
                 let (b, l) = (shape[0], shape[2]);
-                let mut h = x
-                    .to_channels_last()
-                    .matmul(&self.stem_pw)
-                    .add_row_broadcast(&self.stem_b)
-                    .from_channels_last(b, l)
-                    .relu()
-                    .dw_conv1d(&self.stem_dw)
-                    .relu();
+                let mut h = self.stem(x, b, l);
                 for (block, &choice) in self.blocks.iter().zip(choices) {
                     h = block.forward_fixed(&h, choice);
                 }
@@ -221,6 +214,17 @@ impl Supernet {
         }
     }
 
+    /// The stem, pointwise → ReLU → depthwise → ReLU, channels-last
+    /// throughout: `[B, C_in, L] → [B, stem_width, L]`.
+    fn stem(&self, x: &Var, b: usize, l: usize) -> Var {
+        x.to_channels_last()
+            .matmul(&self.stem_pw)
+            .add_row_broadcast(&self.stem_b)
+            .relu()
+            .dw_conv1d_cl(&self.stem_dw, b, l, 1, true)
+            .from_channels_last(b, l)
+    }
+
     /// Runs the network with explicit per-slot mixture weights (each a
     /// length-7 variable) — the building block for binarized/path-sampled
     /// search modes, where the weights come from
@@ -234,14 +238,7 @@ impl Supernet {
         assert_eq!(weights.len(), self.blocks.len(), "weight slot count");
         let shape = x.shape();
         let (b, l) = (shape[0], shape[2]);
-        let mut h = x
-            .to_channels_last()
-            .matmul(&self.stem_pw)
-            .add_row_broadcast(&self.stem_b)
-            .from_channels_last(b, l)
-            .relu()
-            .dw_conv1d(&self.stem_dw)
-            .relu();
+        let mut h = self.stem(x, b, l);
         for (block, w) in self.blocks.iter().zip(weights.iter()) {
             h = block.forward_mixture(&h, w);
         }

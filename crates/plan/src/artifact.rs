@@ -107,8 +107,14 @@ fn op_token(op: &PlanOp) -> String {
             format!("weighted_sum:{}", hex.join(","))
         }
         PlanOp::PwConv1d => "pw_conv1d".to_string(),
-        PlanOp::DwConv1d => "dw_conv1d".to_string(),
-        PlanOp::DwConv1dRelu => "dw_conv1d_relu".to_string(),
+        PlanOp::DwConv1dCl { len, stride, relu } => {
+            let name = if *relu {
+                "dw_conv1d_cl_relu"
+            } else {
+                "dw_conv1d_cl"
+            };
+            format!("{name}:{len}:{stride}")
+        }
         PlanOp::GlobalAvgPool1d => "global_avg_pool1d".to_string(),
         PlanOp::ToChannelsLast => "to_channels_last".to_string(),
         PlanOp::FromChannelsLast => "from_channels_last".to_string(),
@@ -229,8 +235,23 @@ fn parse_op(tok: &str) -> Result<PlanOp, PlanError> {
             PlanOp::WeightedSum { weights }
         }
         "pw_conv1d" => PlanOp::PwConv1d,
-        "dw_conv1d" => PlanOp::DwConv1d,
-        "dw_conv1d_relu" => PlanOp::DwConv1dRelu,
+        "dw_conv1d_cl" | "dw_conv1d_cl_relu" => {
+            let mut field = |what: &str| {
+                parts
+                    .next()
+                    .ok_or_else(|| PlanError::new(format!("{head} missing {what}")))
+                    .and_then(parse_usize)
+            };
+            let (len, stride) = (field("len")?, field("stride")?);
+            if len == 0 || stride == 0 {
+                return Err(PlanError::new(format!("{head} has a zero len or stride")));
+            }
+            PlanOp::DwConv1dCl {
+                len,
+                stride,
+                relu: head == "dw_conv1d_cl_relu",
+            }
+        }
         "global_avg_pool1d" => PlanOp::GlobalAvgPool1d,
         "to_channels_last" => PlanOp::ToChannelsLast,
         "from_channels_last" => PlanOp::FromChannelsLast,
@@ -479,5 +500,47 @@ impl Plan {
     pub fn load(path: impl AsRef<Path>) -> io::Result<Plan> {
         let text = std::fs::read_to_string(path)?;
         Plan::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dance_autograd::tensor::Tensor;
+    use dance_autograd::var::Var;
+
+    /// Re-seals an edited artifact body with a fresh integrity footer.
+    fn reseal(text: &str) -> String {
+        let body = &text[..text.rfind("fold ").expect("artifact has a footer")];
+        format!("{body}fold {:016x}\n", fold_bytes(body.as_bytes()))
+    }
+
+    /// A well-sealed v1 file naming a retired channels-first depthwise op
+    /// fails to load as `InvalidData`, and the error names the op.
+    #[test]
+    fn retired_channels_first_depthwise_ops_fail_load() {
+        let x = Var::constant(Tensor::zeros(&[1, 2, 4]));
+        let w = Var::parameter(Tensor::from_vec(
+            vec![0.5, 1.0, -0.5, 0.25, 0.75, 1.5],
+            &[2, 3],
+        ));
+        let y = x.to_channels_last().dw_conv1d_cl(&w, 1, 4, 2, true);
+        let plan = crate::freeze(&x, &[y], 2).expect("channels-last conv freezes");
+        // The kernel is folded once, tap-major.
+        assert_eq!(plan.consts.len(), 1);
+        assert_eq!(plan.consts[0].shape, [3, 2]);
+        let text = plan.serialize();
+        assert!(text.contains("step dw_conv1d_cl_relu:4:2 "), "{text}");
+        let dir = std::env::temp_dir().join(format!("dance-plan-retired-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        for old in ["dw_conv1d", "dw_conv1d_relu"] {
+            let path = dir.join(format!("{old}.plan"));
+            let edited = reseal(&text.replace("dw_conv1d_cl_relu:4:2", old));
+            std::fs::write(&path, edited).expect("write edited artifact");
+            let err = Plan::load(&path).expect_err("a retired op must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("'{old}'")), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

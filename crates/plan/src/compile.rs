@@ -61,21 +61,28 @@ enum ProtoRef {
 
 struct Folder {
     consts: Vec<ConstSpec>,
-    by_node: HashMap<u64, usize>,
+    /// Interned constants by `(node id, stored transposed)`.
+    by_node: HashMap<(u64, bool), usize>,
 }
 
 impl Folder {
-    fn intern(&mut self, v: &Var) -> usize {
-        if let Some(&idx) = self.by_node.get(&v.id()) {
+    /// Interns a node's value, or (for `transposed`) the transpose of its
+    /// 2-D value.
+    fn intern(&mut self, v: &Var, transposed: bool) -> usize {
+        if let Some(&idx) = self.by_node.get(&(v.id(), transposed)) {
             return idx;
         }
-        let t = v.value();
+        let t = if transposed {
+            v.value().transpose()
+        } else {
+            v.value()
+        };
         let idx = self.consts.len();
         self.consts.push(ConstSpec {
             shape: t.shape().to_vec(),
             data: t.data().to_vec(),
         });
-        self.by_node.insert(v.id(), idx);
+        self.by_node.insert((v.id(), transposed), idx);
         idx
     }
 }
@@ -118,13 +125,15 @@ fn dynamic_parent(
     }
 }
 
-/// Resolves a parent that must be constant-foldable (a weight).
+/// Resolves a parent that must be constant-foldable (a weight), folded
+/// as is or, for `transposed`, as the transpose of its 2-D value.
 fn folded_parent(
     node: &Var,
     parent: &Var,
     role: &str,
     dynamic: &HashSet<u64>,
     folder: &mut Folder,
+    transposed: bool,
 ) -> Result<ProtoRef, FreezeError> {
     if dynamic.contains(&parent.id()) {
         Err(FreezeError::new(format!(
@@ -132,7 +141,7 @@ fn folded_parent(
             node.op()
         )))
     } else {
-        Ok(ProtoRef::Const(folder.intern(parent)))
+        Ok(ProtoRef::Const(folder.intern(parent, transposed)))
     }
 }
 
@@ -197,8 +206,19 @@ fn translate(
                 }
             }
             "pw_conv1d" => PlanOp::PwConv1d,
-            "dw_conv1d" => PlanOp::DwConv1d,
-            "dw_conv1d_relu" => PlanOp::DwConv1dRelu,
+            "dw_conv1d_cl" | "dw_conv1d_cl_relu" => match v.attrs() {
+                OpAttrs::LengthStride { len, stride } => PlanOp::DwConv1dCl {
+                    len,
+                    stride,
+                    relu: v.op() == "dw_conv1d_cl_relu",
+                },
+                a => {
+                    return Err(FreezeError::new(format!(
+                        "{} node missing attrs: {a:?}",
+                        v.op()
+                    )))
+                }
+            },
             "global_avg_pool1d" => PlanOp::GlobalAvgPool1d,
             "to_channels_last" => PlanOp::ToChannelsLast,
             "from_channels_last" => PlanOp::FromChannelsLast,
@@ -237,33 +257,34 @@ fn translate(
         PlanOp::Matmul => {
             vec![
                 dynamic_parent(v, &parents[0], dynamic)?,
-                folded_parent(v, &parents[1], "matmul weight", dynamic, folder)?,
+                folded_parent(v, &parents[1], "matmul weight", dynamic, folder, false)?,
             ]
         }
         PlanOp::Linear | PlanOp::LinearRelu => {
             vec![
                 dynamic_parent(v, &parents[0], dynamic)?,
-                folded_parent(v, &parents[1], "linear weight", dynamic, folder)?,
-                folded_parent(v, &parents[2], "linear bias", dynamic, folder)?,
+                folded_parent(v, &parents[1], "linear weight", dynamic, folder, false)?,
+                folded_parent(v, &parents[2], "linear bias", dynamic, folder, false)?,
             ]
         }
         PlanOp::AddRowBroadcast | PlanOp::MulRowBroadcast => {
             vec![
                 dynamic_parent(v, &parents[0], dynamic)?,
-                folded_parent(v, &parents[1], "broadcast row", dynamic, folder)?,
+                folded_parent(v, &parents[1], "broadcast row", dynamic, folder, false)?,
             ]
         }
         PlanOp::PwConv1d => {
             vec![
                 dynamic_parent(v, &parents[0], dynamic)?,
-                folded_parent(v, &parents[1], "conv weight", dynamic, folder)?,
-                folded_parent(v, &parents[2], "conv bias", dynamic, folder)?,
+                folded_parent(v, &parents[1], "conv weight", dynamic, folder, false)?,
+                folded_parent(v, &parents[2], "conv bias", dynamic, folder, false)?,
             ]
         }
-        PlanOp::DwConv1d | PlanOp::DwConv1dRelu => {
+        PlanOp::DwConv1dCl { .. } => {
+            // Folded tap-major (`[Kw, C]`), so a plan run never transposes it.
             vec![
                 dynamic_parent(v, &parents[0], dynamic)?,
-                folded_parent(v, &parents[1], "conv kernel", dynamic, folder)?,
+                folded_parent(v, &parents[1], "conv kernel", dynamic, folder, true)?,
             ]
         }
         PlanOp::WeightedSum { .. } => {
@@ -364,9 +385,28 @@ fn check_step(
                 return Err(FreezeError::new("row-wise op on a non-2-D activation"));
             }
         }
+        PlanOp::DwConv1dCl { len, stride, .. } => {
+            let (rpb, x_rest) = in_spec(&ins[0]);
+            let wt = &consts[match ins[1] {
+                ProtoRef::Const(c) => c,
+                ProtoRef::Node(_) => unreachable!("conv kernel folded above"),
+            }];
+            let ok = x_rest.len() == 1
+                && wt.shape.len() == 2
+                && wt.shape[1] == x_rest[0]
+                && wt.shape[0] % 2 == 1
+                && rpb % len == 0
+                && out.rows_per_batch == rpb / len * len.div_ceil(*stride)
+                && out.rest == x_rest;
+            if !ok {
+                return Err(FreezeError::new(format!(
+                    "dw_conv1d_cl shapes disagree: input rows/batch {rpb} × {x_rest:?}, \
+                     kernel {:?}, len {len}, stride {stride}",
+                    wt.shape
+                )));
+            }
+        }
         PlanOp::PwConv1d
-        | PlanOp::DwConv1d
-        | PlanOp::DwConv1dRelu
         | PlanOp::GlobalAvgPool1d
         | PlanOp::ToChannelsLast
         | PlanOp::Downsample1d { .. } => {
@@ -507,7 +547,7 @@ pub fn freeze(input: &Var, outputs: &[Var], max_batch: usize) -> Result<Plan, Fr
             if dynamic.contains(&v.id()) {
                 Ref::Buf(buffer_of[&v.id()])
             } else {
-                Ref::Const(folder.intern(v))
+                Ref::Const(folder.intern(v, false))
             }
         })
         .collect();

@@ -11,7 +11,7 @@
 //! value computation, so outputs are bit-identical to the tape at any
 //! `DANCE_THREADS` setting.
 
-use dance_backend::{kernels, Kernels};
+use dance_backend::{kernels, DwConv1dGeom, Kernels};
 
 use crate::ir::{Plan, PlanOp, Ref, Step};
 
@@ -239,29 +239,21 @@ fn run_step(k: &dyn Kernels, plan: &Plan, bufs: &mut [Vec<f32>], step: &Step, ba
                     out,
                 );
             }
-            PlanOp::DwConv1d => {
-                let (bsz, rest) = dims(plan, step.ins[0], batch);
-                let (_, w_rest) = dims(plan, step.ins[1], batch);
-                k.dw_conv1d_fwd_into(
+            PlanOp::DwConv1dCl { len, stride, relu } => {
+                let (rows, rest) = dims(plan, step.ins[0], batch);
+                let (kw, _) = dims(plan, step.ins[1], batch);
+                let geom = DwConv1dGeom {
+                    batch: rows / len,
+                    channels: rest[0],
+                    len: *len,
+                    kernel: kw,
+                    stride: *stride,
+                };
+                k.dw_conv1d_cl_fwd_into(
                     view(plan, bufs_r, step.ins[0], batch),
                     view(plan, bufs_r, step.ins[1], batch),
-                    bsz,
-                    rest[0],
-                    rest[1],
-                    w_rest[0],
-                    out,
-                );
-            }
-            PlanOp::DwConv1dRelu => {
-                let (bsz, rest) = dims(plan, step.ins[0], batch);
-                let (_, w_rest) = dims(plan, step.ins[1], batch);
-                k.dw_conv1d_relu_fwd_into(
-                    view(plan, bufs_r, step.ins[0], batch),
-                    view(plan, bufs_r, step.ins[1], batch),
-                    bsz,
-                    rest[0],
-                    rest[1],
-                    w_rest[0],
+                    geom,
+                    *relu,
                     out,
                 );
             }

@@ -54,12 +54,19 @@ pub enum PlanOp {
     /// Pointwise 1-D convolution `[B,C,L]×[K,C](+[K]) → [B,K,L]` with
     /// folded weight and bias.
     PwConv1d,
-    /// Depthwise 1-D convolution `[B,C,L]×[C,kw] → [B,C,L]` with a folded
-    /// kernel.
-    DwConv1d,
-    /// Depthwise 1-D convolution with a fused ReLU on the accumulator (the
-    /// tape's `dw_conv1d_relu` op).
-    DwConv1dRelu,
+    /// Channels-last depthwise 1-D convolution
+    /// `[B·len, C]×[kw, C] → [B·⌈len/stride⌉, C]` against a folded kernel
+    /// stored tap-major (`[kw, C]`, the tape weight transposed at freeze
+    /// time), with an optional fused ReLU (the tape's `dw_conv1d_cl` and
+    /// `dw_conv1d_cl_relu` ops).
+    DwConv1dCl {
+        /// Input length per batch sample (the batch is rows ÷ `len`).
+        len: usize,
+        /// Output stride.
+        stride: usize,
+        /// Whether `max(·, 0)` is fused onto each output.
+        relu: bool,
+    },
     /// `[B,C,L] → [B,C]` mean over the length axis.
     GlobalAvgPool1d,
     /// `[B,C,L] → [B·L,C]` permutation.
@@ -201,7 +208,7 @@ impl Plan {
                 PlanOp::Linear | PlanOp::LinearRelu => Some(3),
                 PlanOp::AddRowBroadcast | PlanOp::MulRowBroadcast => Some(2),
                 PlanOp::PwConv1d => Some(3),
-                PlanOp::DwConv1d | PlanOp::DwConv1dRelu => Some(2),
+                PlanOp::DwConv1dCl { .. } => Some(2),
                 PlanOp::WeightedSum { weights } => Some(weights.len()),
                 PlanOp::ConcatCols => None, // ≥ 1, checked below
                 _ => Some(1),

@@ -44,7 +44,7 @@ fn tape_forward(codes: &[usize], seed: u64, x: &Tensor) -> Vec<u32> {
 }
 
 /// The op palette: one entry per op family the freezer supports on 2-D
-/// activations. Codes 0 and 14–17 draw folded weights from `rng`, so
+/// activations. Codes 0 and 14–19 draw folded weights from `rng`, so
 /// rebuilding a chain with the same RNG stream reproduces the constants.
 fn replay_op(code: usize, h: &Var, rng: &mut StdRng) -> Var {
     match code {
@@ -81,10 +81,32 @@ fn replay_op(code: usize, h: &Var, rng: &mut StdRng) -> Var {
             bn.forward(h)
         }
         // Fused linear / linear+relu: single tape node, single plan step.
-        16 | _ => {
+        16 | 17 => {
             let w = Var::parameter(Tensor::rand_uniform(&[WIDTH, WIDTH], -0.6, 0.6, rng));
             let b = Var::parameter(Tensor::rand_uniform(&[WIDTH], -0.1, 0.1, rng));
-            h.linear(&w, &b, code != 16)
+            h.linear(&w, &b, code == 17)
+        }
+        // Channels-last depthwise conv, one channel over the WIDTH columns
+        // as positions: stride 1, kernel 3.
+        18 => {
+            let batch = h.shape()[0];
+            let w = Var::parameter(Tensor::rand_uniform(&[1, 3], -0.8, 0.8, rng));
+            h.reshape(&[batch * WIDTH, 1])
+                .dw_conv1d_cl(&w, batch, WIDTH, 1, false)
+                .reshape(&[batch, WIDTH])
+        }
+        // Two channels × WIDTH positions (the row duplicated), stride 2,
+        // kernel 5, fused ReLU; the ⌈WIDTH/2⌉·2 outputs are sliced back to
+        // WIDTH columns.
+        _ => {
+            let batch = h.shape()[0];
+            let w = Var::parameter(Tensor::rand_uniform(&[2, 5], -0.8, 0.8, rng));
+            let lo = WIDTH.div_ceil(2);
+            Var::concat_cols(&[h, &h.scale(-1.0)])
+                .reshape(&[batch * WIDTH, 2])
+                .dw_conv1d_cl(&w, batch, WIDTH, 2, true)
+                .reshape(&[batch, lo * 2])
+                .slice_cols(0, WIDTH)
         }
     }
 }
@@ -100,7 +122,7 @@ proptest! {
 
     #[test]
     fn random_chain_plan_matches_tape_bitwise(
-        codes in prop::collection::vec(0usize..18, 6),
+        codes in prop::collection::vec(0usize..20, 6),
         seed in 0u64..1_000_000,
         batch in 1usize..5,
     ) {
@@ -118,7 +140,7 @@ proptest! {
 
     #[test]
     fn serialized_plans_execute_identically_after_reload(
-        codes in prop::collection::vec(0usize..18, 5),
+        codes in prop::collection::vec(0usize..20, 5),
         seed in 0u64..1_000_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);

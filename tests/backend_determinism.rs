@@ -118,3 +118,52 @@ fn search_is_bit_identical_with_arena_disabled() {
         "per-epoch loss statistics differ bit-wise"
     );
 }
+
+/// FNV-1a digest of one batch-64 cifar supernet mixture forward + backward
+/// (seed 0): the loss bits, then every weight gradient, then every
+/// architecture gradient, element by element.
+fn supernet_grad_digest() -> u64 {
+    let bench = Benchmark::cifar(0);
+    let mut rng = StdRng::seed_from_u64(0);
+    let net = Supernet::new(bench.supernet, &mut rng);
+    let arch = ArchParams::new(net.num_slots(), &mut rng);
+    let batch = Batcher::new(&bench.data.train, 64).gather(&(0..64).collect::<Vec<_>>());
+    let x = net.input_from(&batch.x, batch.batch);
+    let loss = cross_entropy(&net.forward(&x, ForwardMode::Mixture(&arch)), &batch.y, 0.1);
+    loss.backward();
+    let mut digest = fnv_fold(
+        0xcbf2_9ce4_8422_2325,
+        u64::from(loss.value().data()[0].to_bits()),
+    );
+    for p in net.parameters().iter().chain(arch.parameters().iter()) {
+        let grad = p
+            .grad()
+            .expect("every supernet parameter receives a gradient");
+        for &g in grad.data() {
+            digest = fnv_fold(digest, u64::from(g.to_bits()));
+        }
+    }
+    digest
+}
+
+/// The digest [`supernet_grad_digest`] produced when the MBConv depthwise
+/// convolutions still ran channels-first; layout and kernel changes must
+/// keep every bit of the loss and of every gradient.
+const SUPERNET_GRAD_DIGEST: u64 = 0x8570_c019_6202_2bd6;
+
+#[test]
+fn supernet_gradients_keep_their_recorded_bits() {
+    dance_backend::set_threads(1);
+    let single = supernet_grad_digest();
+    dance_backend::set_threads(8);
+    let pooled = supernet_grad_digest();
+    dance_backend::set_threads(1);
+    assert_eq!(
+        single, pooled,
+        "supernet gradients differ between 1 and 8 threads"
+    );
+    assert_eq!(
+        single, SUPERNET_GRAD_DIGEST,
+        "supernet gradients moved: {single:#018x}"
+    );
+}
